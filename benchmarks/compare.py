@@ -20,6 +20,14 @@ micro-benchmark scale the gate would only measure scheduler noise.  The
 exit status is the contract: 0 clean, 1 regression, 2 usage error — CI
 fails the build on 1.
 
+Independently of the baseline, the candidate's ``parse`` cost per op
+must not grow with module size: µs/op at the largest size may be at
+most :data:`PARSE_SCALING_LIMIT` times µs/op at the smallest.  A
+previous-run-relative gate cannot see a layer drifting quadratic a
+little at a time (5,000-op parse went 0.153 s in ``BENCH_2.json`` to
+0.719 s in ``BENCH_6.json`` to 0.823 s in ``BENCH_10.json``, each step
+under threshold); the scaling check fails both of those runs.
+
 ``--normalize`` corrects for *machine drift*: a committed baseline was
 recorded on one host, CI re-times on another, and hosted runners vary
 well beyond any useful threshold.  Each scenario's ratio is divided by
@@ -45,6 +53,10 @@ DEFAULT_THRESHOLD = 0.25
 
 #: Baseline timings shorter than this are too noisy to gate on.
 DEFAULT_MIN_SECONDS = 0.005
+
+#: Largest tolerated growth of parse µs/op from the smallest module size
+#: of a run to its largest.
+PARSE_SCALING_LIMIT = 1.5
 
 
 def flatten_scenarios(results: Dict) -> Dict[str, float]:
@@ -80,6 +92,27 @@ def flatten_scenarios(results: Dict) -> Dict[str, float]:
             if name is not None and seconds is not None:
                 scenarios[name] = seconds
     return scenarios
+
+
+def per_op_scaling(results: Dict) -> Optional[Dict[str, float]]:
+    """Parse µs/op at a run's smallest and largest module size.
+
+    ``None`` when the run timed parsing at fewer than two sizes (a
+    smoke run).  Sizes are the records' measured op counts.
+    """
+    points = []
+    for record in results.get("records", ()):
+        seconds = record.get("timings_s", {}).get("parse")
+        ops = record.get("num_ops") or record.get("config", {}).get("num_ops")
+        if seconds is not None and ops:
+            points.append((ops, seconds / ops * 1e6))
+    if len({ops for ops, _ in points}) < 2:
+        return None
+    points.sort()
+    (small_ops, small_us), (large_ops, large_us) = points[0], points[-1]
+    return {"small_ops": small_ops, "small_us": small_us,
+            "large_ops": large_ops, "large_us": large_us,
+            "ratio": large_us / small_us if small_us > 0 else 0.0}
 
 
 def scenarios_missing_from_baseline(baseline: Dict,
@@ -231,11 +264,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.normalize:
         print(f"\nmedian machine drift: {rows[0]['drift']:.2f}x "
               "(ratios above are thresholded after dividing by this)")
+    scaling = per_op_scaling(candidate)
+    superlinear = scaling is not None \
+        and scaling["ratio"] > PARSE_SCALING_LIMIT
+    if scaling is not None:
+        print(f"\nparse scaling: {scaling['small_us']:.1f} us/op at "
+              f"{scaling['small_ops']} ops, {scaling['large_us']:.1f} us/op "
+              f"at {scaling['large_ops']} ops ({scaling['ratio']:.2f}x, "
+              f"limit {PARSE_SCALING_LIMIT:.2f}x)")
     regressions = [row for row in rows if row["status"] == "regression"]
     if regressions:
         names = ", ".join(row["name"] for row in regressions)
         print(f"\nFAIL: {len(regressions)} scenario(s) regressed more than "
               f"{args.threshold:.0%}: {names}", file=sys.stderr)
+    if superlinear:
+        print(f"\nFAIL: parse cost per op grows {scaling['ratio']:.2f}x "
+              f"from {scaling['small_ops']} to {scaling['large_ops']} ops "
+              f"(limit {PARSE_SCALING_LIMIT:.2f}x): a superlinear parser",
+              file=sys.stderr)
+    if regressions or superlinear:
         return 1
     print(f"\nOK: no scenario regressed more than {args.threshold:.0%} "
           f"({sum(1 for row in rows if row['status'] == 'skipped')} "

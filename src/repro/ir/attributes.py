@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Tuple
 
@@ -41,14 +42,29 @@ class BoolAttr(Attribute):
         return "true" if self.value else "false"
 
 
+def _quoted(value: str) -> str:
+    escaped = (value.replace("\\", "\\\\").replace('"', '\\"')
+               .replace("\n", "\\n").replace("\t", "\\t"))
+    return f'"{escaped}"'
+
+
 @dataclass(frozen=True)
 class StringAttr(Attribute):
     value: str
 
     def __str__(self) -> str:
-        escaped = (self.value.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n").replace("\t", "\\t"))
-        return f'"{escaped}"'
+        return _quoted(self.value)
+
+
+#: Symbol names that print bare (MLIR's ``bare-id``); any other name, such
+#: as a DPC++-mangled ``6vecaddEEv...``, prints quoted: ``@"6vecadd..."``.
+_BARE_SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$.]*")
+
+
+def _symbol(name: str) -> str:
+    if _BARE_SYMBOL_RE.fullmatch(name):
+        return f"@{name}"
+    return f"@{_quoted(name)}"
 
 
 @dataclass(frozen=True)
@@ -59,8 +75,7 @@ class SymbolRefAttr(Attribute):
     nested: Tuple[str, ...] = ()
 
     def __str__(self) -> str:
-        parts = [f"@{self.root}"] + [f"@{name}" for name in self.nested]
-        return "::".join(parts)
+        return "::".join(_symbol(name) for name in (self.root,) + self.nested)
 
     @property
     def leaf(self) -> str:

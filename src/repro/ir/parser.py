@@ -15,6 +15,12 @@ layer: for any module ``m`` built programmatically,
 whitespace-insensitive and supports ``//`` line comments so textual test
 cases can be annotated.
 
+Parsing is linear in the input.  The cursor always rests on the start of
+the next token: each token is matched by one compiled regex that also
+swallows the whitespace and comments after it, so lookahead is a plain
+``str.startswith``.  Line/column positions come from a line-start table
+built once per parse and searched with :func:`bisect.bisect_right`.
+
 Operation classes are resolved through the operation registry
 (:func:`repro.ir.operations.lookup_op_class`); parsing an op name that is
 not registered is an error unless ``allow_unregistered`` is set.
@@ -24,6 +30,8 @@ from __future__ import annotations
 
 import difflib
 import re
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .attributes import (
@@ -75,14 +83,63 @@ class ParseError(Exception):
         self.column = column
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$.]*")
-_IDENT_CHAR_RE = re.compile(r"[A-Za-z0-9_$.]")
-_VALUE_ID_RE = re.compile(r"%([A-Za-z0-9_$.]+)")
-_NUMBER_RE = re.compile(r"-?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|inf|nan)")
-_SUCCESSOR_RE = re.compile(r"\^bb(\d+)")
-_INTEGER_TYPE_RE = re.compile(r"i(\d+)$")
-_FLOAT_TYPE_RE = re.compile(r"f(\d+)$")
-_DIM_RE = re.compile(r"(\?|\d+)x")
+#: Whitespace and ``//`` line comments: what may follow any token.
+_WS = r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*"
+_WS_RE = re.compile(_WS)
+
+
+def _token(pattern: str, flags: int = 0) -> "re.Pattern[str]":
+    """A token regex: group 1 is the token's value, and the match runs on
+    over the whitespace after it, so ``match.end()`` is the next token."""
+    return re.compile(pattern + _WS, flags)
+
+
+_IDENT_RE = _token(r"([A-Za-z_$][A-Za-z0-9_$.]*)")
+_VALUE_ID_RE = _token(r"%([A-Za-z0-9_$.]+)")
+_NUMBER_RE = _token(r"(-?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|inf|nan))")
+_SUCCESSOR_RE = _token(r"\^bb(\d+)")
+_DIM_RE = _token(r"(\?|\d+)x")
+_TYPE_LIST_RE = _token(r"\(([^()]*)\)")
+_STRING_RE = _token(r'"([^"\\]*(?:\\.[^"\\]*)*)"', re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_STRING_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+#: The dialect namespace of a ``!`` type: "sycl" in "sycl_buffer_1_...",
+#: "llvm" in "llvm.ptr<...>".
+_DIALECT_NAME_RE = re.compile(r"[A-Za-z$][A-Za-z0-9$]*")
+#: Identifier characters and nested ``!`` between ``<...>`` groups of a
+#: dialect type's raw spelling.
+_DIALECT_RUN_RE = re.compile(r"[A-Za-z0-9_$.!]*")
+_ANGLE_RE = re.compile(r"[<>]")
+_INTEGER_TYPE_RE = re.compile(r"i(\d+)")
+_FLOAT_TYPE_RE = re.compile(r"f(\d+)")
+
+#: Builtin scalar types interned by spelling, so every ``i64`` of a module
+#: is one object; other widths (``i7``) are built on each mention.
+_BUILTIN_TYPES: Dict[str, Type] = {
+    "index": IndexType(), "none": NoneType(),
+    **{f"i{w}": IntegerType(w) for w in (1, 8, 16, 32, 64)},
+    **{f"f{w}": FloatType(w) for w in (16, 32, 64)},
+}
+
+
+def _builtin_type(spelling: str) -> Optional[Type]:
+    """The builtin scalar type spelled ``spelling``, or ``None``."""
+    type_ = _BUILTIN_TYPES.get(spelling)
+    if type_ is not None:
+        return type_
+    m = _INTEGER_TYPE_RE.fullmatch(spelling)
+    if m is not None:
+        return IntegerType(int(m.group(1)))
+    m = _FLOAT_TYPE_RE.fullmatch(spelling)
+    if m is not None:
+        return FloatType(int(m.group(1)))
+    return None
+
+
+def _line_starts(text: str) -> List[int]:
+    """Offset of the first character of every line of ``text``."""
+    return list(accumulate((len(line) + 1 for line in text.split("\n")[:-1]),
+                           initial=0))
 
 
 def _keepable_hint(name: str) -> Optional[str]:
@@ -111,41 +168,43 @@ class _Scope:
 
 
 class Parser:
-    """Recursive-descent parser over the printed generic syntax."""
+    """Recursive-descent parser over the printed generic syntax.
+
+    ``pos`` is always the start of the next token (whitespace and
+    comments already skipped); ``_end`` is the end of the last token
+    consumed.  Errors about what was just read (a bad signature, an
+    unknown type or op name) are reported at ``_end``, errors about
+    what comes next at ``pos``.
+    """
 
     def __init__(self, text: str, allow_unregistered: bool = False,
                  filename: str = "<input>"):
         self.text = text
-        self.pos = 0
+        self.pos = _WS_RE.match(text).end()
+        self._end = 0
         self.allow_unregistered = allow_unregistered
         self.filename = filename
         self._scopes: List[_Scope] = [_Scope(isolated=True)]
+        self._lines: Optional[List[int]] = None
+        self._type_lists: Dict[str, Tuple[Type, ...]] = {}
 
     # ------------------------------------------------------------------
     # Low-level scanning
     # ------------------------------------------------------------------
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif self.text.startswith("//", self.pos):
-                end = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if end == -1 else end
-            else:
-                break
+    def _advance(self, end: int) -> None:
+        """Move past a token ending at ``end`` and the whitespace after."""
+        self._end = end
+        self.pos = _WS_RE.match(self.text, end).end()
 
     def _at_end(self) -> bool:
-        self._skip_ws()
         return self.pos >= len(self.text)
 
     def _peek(self, literal: str) -> bool:
-        self._skip_ws()
         return self.text.startswith(literal, self.pos)
 
     def _consume(self, literal: str) -> bool:
-        if self._peek(literal):
-            self.pos += len(literal)
+        if self.text.startswith(literal, self.pos):
+            self._advance(self.pos + len(literal))
             return True
         return False
 
@@ -155,33 +214,31 @@ class Parser:
             found = self.text[self.pos:self.pos + 12] or "<end of input>"
             self.error(f"expected {literal!r}{where}, found {found!r}")
 
-    def _match(self, pattern: re.Pattern) -> Optional[str]:
-        self._skip_ws()
+    def _match(self, pattern: "re.Pattern[str]") -> Optional[str]:
+        """Consume a :func:`_token` pattern; its group 1, or ``None``."""
         m = pattern.match(self.text, self.pos)
         if m is None:
             return None
-        self.pos = m.end()
-        return m.group(0)
-
-    def _match_group(self, pattern: re.Pattern) -> Optional[str]:
-        self._skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if m is None:
-            return None
+        self._end = m.end(1)
         self.pos = m.end()
         return m.group(1)
 
-    def error(self, message: str) -> None:
-        consumed = self.text[:self.pos]
-        line = consumed.count("\n") + 1
-        column = self.pos - (consumed.rfind("\n") + 1) + 1
+    def _line_col(self, pos: int) -> Tuple[int, int]:
+        """1-based ``(line, column)`` of character ``pos``."""
+        if self._lines is None:
+            self._lines = _line_starts(self.text)
+        line = bisect_right(self._lines, pos)
+        return line, pos - self._lines[line - 1] + 1
+
+    def error(self, message: str, pos: Optional[int] = None) -> None:
+        """Raise a :class:`ParseError` located at ``pos`` (default: the
+        next token)."""
+        line, column = self._line_col(self.pos if pos is None else pos)
         raise ParseError(message, line, column)
 
     def _location_at(self, pos: int) -> Location:
         """Source location (1-based line/col) of character ``pos``."""
-        consumed = self.text[:pos]
-        line = consumed.count("\n") + 1
-        column = pos - (consumed.rfind("\n") + 1) + 1
+        line, column = self._line_col(pos)
         return Location(self.filename, line, column)
 
     # ------------------------------------------------------------------
@@ -190,44 +247,40 @@ class Parser:
     def _define_value(self, name: str, value: Value) -> None:
         scope = self._scopes[-1]
         if name in scope.values:
-            self.error(f"redefinition of value %{name}")
+            self.error(f"redefinition of value %{name}", self._end)
         scope.values[name] = value
         pending = scope.forward.pop(name, None)
         if pending is not None:
             placeholder, use_pos = pending
             if placeholder.type != value.type:
-                self.pos = use_pos
                 self.error(
                     f"type mismatch for forward-referenced value %{name}: "
-                    f"used as {placeholder.type} but defined as {value.type}")
+                    f"used as {placeholder.type} but defined as {value.type}",
+                    use_pos)
             placeholder.replace_all_uses_with(value)
 
-    def _lookup_value(self, name: str, declared: Optional[Type] = None,
-                      use_pos: Optional[int] = None) -> Value:
+    def _lookup_value(self, name: str, declared: Type,
+                      use_pos: int) -> Value:
         for scope in reversed(self._scopes):
             if name in scope.values:
                 return scope.values[name]
             if scope.isolated:
                 break
-        if declared is None:
-            self.error(f"use of undefined value %{name}")
         # A use before the definition: hand out a typed placeholder that a
         # later definition in this scope replaces (the mlir-opt behaviour,
         # which keeps dominance violations *parseable* so the verifier and
         # the lint rules can diagnose them on real IR).
         scope = self._scopes[-1]
         if name not in scope.forward:
-            pos = use_pos if use_pos is not None else self.pos
             scope.forward[name] = (
-                Value(declared, name_hint=_keepable_hint(name)), pos)
+                Value(declared, name_hint=_keepable_hint(name)), use_pos)
         return scope.forward[name][0]
 
     def _close_scope(self) -> None:
         scope = self._scopes.pop()
         if scope.forward:
             name, (_, use_pos) = next(iter(scope.forward.items()))
-            self.pos = use_pos
-            self.error(f"use of undefined value %{name}")
+            self.error(f"use of undefined value %{name}", use_pos)
 
     # ------------------------------------------------------------------
     # Operations
@@ -236,7 +289,6 @@ class Parser:
             self,
             successor_sink: Optional[List[Tuple[Operation, List[int]]]] = None,
     ) -> Operation:
-        self._skip_ws()
         op_start = self.pos
         result_names = self._parse_result_names()
         op_name = self._parse_string_literal("operation name")
@@ -264,7 +316,7 @@ class Parser:
         if len(operand_names) != len(in_types):
             self.error(
                 f"'{op_name}' has {len(operand_names)} operands but its "
-                f"signature lists {len(in_types)} operand types")
+                f"signature lists {len(in_types)} operand types", self._end)
         operands = []
         for (name, use_pos), declared in zip(operand_names, in_types):
             value = self._lookup_value(name, declared, use_pos)
@@ -272,12 +324,12 @@ class Parser:
                 self.error(
                     f"type mismatch for operand %{name} of '{op_name}': "
                     f"value has type {value.type} but the signature "
-                    f"declares {declared}")
+                    f"declares {declared}", self._end)
             operands.append(value)
         if len(result_names) != len(out_types):
             self.error(
                 f"'{op_name}' binds {len(result_names)} results but its "
-                f"signature lists {len(out_types)} result types")
+                f"signature lists {len(out_types)} result types", self._end)
 
         op = self._create_operation(op_name, operands, out_types, attributes)
         if early_regions is not None:
@@ -293,7 +345,8 @@ class Parser:
         if successor_indices is not None:
             if successor_sink is None:
                 self.error(
-                    f"'{op_name}' lists successors outside of a region")
+                    f"'{op_name}' lists successors outside of a region",
+                    self._end)
             successor_sink.append((op, successor_indices))
 
         if early_regions is None and self._peek("("):
@@ -311,7 +364,7 @@ class Parser:
         if not self._peek("%"):
             return names
         while True:
-            name = self._match_group(_VALUE_ID_RE)
+            name = self._match(_VALUE_ID_RE)
             if name is None:
                 self.error("expected a result name after '%'")
             names.append(name)
@@ -320,29 +373,21 @@ class Parser:
         self._expect("=", "after the operation result list")
         return names
 
-    _STRING_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-
     def _parse_string_literal(self, what: str) -> str:
-        self._skip_ws()
-        if not self._consume('"'):
+        m = _STRING_RE.match(self.text, self.pos)
+        if m is None:
+            if self._peek('"'):
+                self.error(f"unterminated string literal in {what}",
+                           self.pos + 1)
             found = self.text[self.pos:self.pos + 12] or "<end of input>"
             self.error(f"expected {what} in double quotes, found {found!r}")
-        chars: List[str] = []
-        i = self.pos
-        while i < len(self.text):
-            ch = self.text[i]
-            if ch == '"':
-                self.pos = i + 1
-                return "".join(chars)
-            if ch == "\\" and i + 1 < len(self.text):
-                chars.append(self._STRING_ESCAPES.get(
-                    self.text[i + 1], self.text[i + 1]))
-                i += 2
-            else:
-                chars.append(ch)
-                i += 1
-        self.error(f"unterminated string literal in {what}")
-        raise AssertionError("unreachable")
+        self._end = m.end(1) + 1
+        self.pos = m.end()
+        body = m.group(1)
+        if "\\" in body:
+            body = _ESCAPE_RE.sub(
+                lambda e: _STRING_ESCAPES.get(e.group(1), e.group(1)), body)
+        return body
 
     def _parse_operand_names(self) -> List[Tuple[str, int]]:
         """``(name, position)`` per operand; positions locate use errors."""
@@ -350,9 +395,8 @@ class Parser:
         names: List[Tuple[str, int]] = []
         if not self._consume(")"):
             while True:
-                self._skip_ws()
                 use_pos = self.pos
-                name = self._match_group(_VALUE_ID_RE)
+                name = self._match(_VALUE_ID_RE)
                 if name is None:
                     self.error("expected an operand name ('%value')")
                 names.append((name, use_pos))
@@ -365,7 +409,7 @@ class Parser:
         self._expect("[")
         indices: List[int] = []
         while True:
-            label = self._match_group(_SUCCESSOR_RE)
+            label = self._match(_SUCCESSOR_RE)
             if label is None:
                 self.error("expected a successor label ('^bbN')")
             indices.append(int(label))
@@ -405,7 +449,7 @@ class Parser:
                 return op
             close = difflib.get_close_matches(name, registered_operations(), 1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
-            self.error(f"unknown operation {name!r}{hint}")
+            self.error(f"unknown operation {name!r}{hint}", self._end)
         op = op_class.__new__(op_class)
         Operation.__init__(op, operands=operands, result_types=result_types,
                            attributes=attributes)
@@ -458,7 +502,7 @@ class Parser:
             if self._peek("^"):
                 label, block = self._parse_block_header()
                 if label in label_map:
-                    self.error(f"duplicate block label ^bb{label}")
+                    self.error(f"duplicate block label ^bb{label}", self._end)
                 region.add_block(block)
                 label_map[label] = block
                 current = block
@@ -479,20 +523,20 @@ class Parser:
                 if target is None:
                     self.error(
                         f"'{branch.name}' references undefined block "
-                        f"^bb{index}")
+                        f"^bb{index}", self._end)
                 successors.append(target)
             branch.successors = successors
         self._close_scope()
 
     def _parse_block_header(self) -> Tuple[int, Block]:
-        label = self._match_group(_SUCCESSOR_RE)
+        label = self._match(_SUCCESSOR_RE)
         if label is None:
             self.error("expected a block label ('^bbN')")
         block = Block()
         if self._consume("("):
             if not self._consume(")"):
                 while True:
-                    name = self._match_group(_VALUE_ID_RE)
+                    name = self._match(_VALUE_ID_RE)
                     if name is None:
                         self.error("expected a block argument name")
                     self._expect(":", "after the block argument name")
@@ -508,7 +552,17 @@ class Parser:
     # ------------------------------------------------------------------
     # Types
     # ------------------------------------------------------------------
-    def _parse_paren_type_list(self) -> List[Type]:
+    def _parse_paren_type_list(self) -> Tuple[Type, ...]:
+        # Signatures repeat ("(i64, i64)"), so a paren-free list is
+        # memoized by its spelling.  An entry is kept only if parsing
+        # ended at the first ')' — the span the lookup regex matches.
+        m = _TYPE_LIST_RE.match(self.text, self.pos)
+        if m is not None:
+            cached = self._type_lists.get(m.group(1))
+            if cached is not None:
+                self._end = m.end(1) + 1
+                self.pos = m.end()
+                return cached
         self._expect("(", "before a type list")
         types: List[Type] = []
         if not self._consume(")"):
@@ -517,48 +571,40 @@ class Parser:
                 if not self._consume(","):
                     break
             self._expect(")", "after a type list")
-        return types
+        result = tuple(types)
+        if m is not None and self._end == m.end(1) + 1:
+            self._type_lists[m.group(1)] = result
+        return result
 
     def parse_type(self) -> Type:
         if self._peek("("):
             inputs = self._parse_paren_type_list()
             self._expect("->", "in a function type")
             results = self._parse_paren_type_list()
-            return FunctionType(tuple(inputs), tuple(results))
+            return FunctionType(inputs, results)
         if self._peek("!"):
             return self._parse_dialect_type()
         ident = self._match(_IDENT_RE)
         if ident is None:
             found = self.text[self.pos:self.pos + 12] or "<end of input>"
             self.error(f"expected a type, found {found!r}")
-        if ident == "index":
-            return IndexType()
-        if ident == "none":
-            return NoneType()
         if ident == "memref":
             return self._parse_memref_body()
         if ident == "vector":
             return self._parse_vector_body()
-        m = _INTEGER_TYPE_RE.match(ident)
-        if m and m.end() == len(ident):
-            return IntegerType(int(m.group(1)))
-        m = _FLOAT_TYPE_RE.match(ident)
-        if m and m.end() == len(ident):
-            return FloatType(int(m.group(1)))
-        self.error(f"unknown type {ident!r}")
-        raise AssertionError("unreachable")
+        type_ = _builtin_type(ident)
+        if type_ is None:
+            self.error(f"unknown type {ident!r}", self._end)
+        return type_
 
     def _parse_shape(self) -> Tuple[int, ...]:
         shape: List[int] = []
         while True:
-            self._skip_ws()
-            m = _DIM_RE.match(self.text, self.pos)
-            if m is None:
-                break
-            self.pos = m.end()
-            dim = m.group(1)
+            dim = self._match(_DIM_RE)
+            if dim is None:
+                return tuple(shape)
+            self._end += 1  # the 'x' after the extent
             shape.append(DYNAMIC if dim == "?" else int(dim))
-        return tuple(shape)
 
     def _parse_memref_body(self) -> MemRefType:
         self._expect("<", "after 'memref'")
@@ -582,52 +628,45 @@ class Parser:
 
     def _parse_dialect_type(self) -> Type:
         self._expect("!")
-        self._skip_ws()
-        start = self.pos
-        if _IDENT_RE.match(self.text, self.pos) is None:
+        start = pos = self.pos
+        text = self.text
+        name = _DIALECT_NAME_RE.match(text, start)
+        if name is None:
             self.error("expected a dialect type name after '!'")
         # Take the full raw spelling: identifier characters interleaved with
         # balanced <...> groups (e.g. `sycl_accessor_1_memref<4xf32>_read`)
         # and embedded `!` from nested dialect-type elements
         # (`sycl_buffer_1_!sycl_id_2`).
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "<":
-                self._skip_balanced_angle()
-            elif ch == "!" or _IDENT_CHAR_RE.match(ch):
-                self.pos += 1
-            else:
+        while True:
+            pos = _DIALECT_RUN_RE.match(text, pos).end()
+            if not text.startswith("<", pos):
                 break
-        raw = self.text[start:self.pos]
-        # The dialect namespace is the leading identifier run, up to the
-        # first '.', '_', '<' or nested '!' ("sycl" in "sycl_buffer_1_...",
-        # "llvm" in "llvm.ptr<...>").
-        dialect = re.match(r"[A-Za-z$][A-Za-z0-9$]*", raw).group(0)
+            pos = self._balanced_angle_end(pos)
+        raw = text[start:pos]
+        self._advance(pos)
+        dialect = name.group(0)
         from ..dialects import lookup_type_parser
 
         type_parser = lookup_type_parser(dialect)
         if type_parser is None:
             self.error(
                 f"no type parser registered for dialect {dialect!r} "
-                f"(while parsing '!{raw}')")
+                f"(while parsing '!{raw}')", self._end)
         result = type_parser(raw, parse_type)
         if result is None:
-            self.error(f"dialect {dialect!r} cannot parse type '!{raw}'")
+            self.error(f"dialect {dialect!r} cannot parse type '!{raw}'",
+                       self._end)
         return result
 
-    def _skip_balanced_angle(self) -> None:
-        assert self.text[self.pos] == "<"
+    def _balanced_angle_end(self, start: int) -> int:
+        """End of the balanced ``<...>`` group opening at ``start``."""
         depth = 0
-        for i in range(self.pos, len(self.text)):
-            ch = self.text[i]
-            if ch == "<":
-                depth += 1
-            elif ch == ">":
-                depth -= 1
-                if depth == 0:
-                    self.pos = i + 1
-                    return
-        self.error("unbalanced '<...>' in dialect type")
+        for m in _ANGLE_RE.finditer(self.text, start):
+            depth += 1 if m.group() == "<" else -1
+            if depth == 0:
+                return m.end()
+        self.error("unbalanced '<...>' in dialect type", start)
+        raise AssertionError("unreachable")
 
     # ------------------------------------------------------------------
     # Attributes
@@ -662,8 +701,7 @@ class Parser:
             return self._parse_array_attr()
         if self._consume("dense"):
             return self._parse_dense_attr()
-        self._skip_ws()
-        if self.text.startswith("{", self.pos):
+        if self._peek("{"):
             return DictAttr(tuple(self._parse_attr_dict().items()))
         number = self._match(_NUMBER_RE)
         if number is not None:
@@ -675,18 +713,25 @@ class Parser:
                 return IntegerAttr(int(number), type_)
             except ValueError:
                 self.error(f"invalid integer literal {number!r} for "
-                           f"type {type_}")
+                           f"type {type_}", self._end)
         return TypeAttr(self.parse_type())
+
+    def _parse_symbol_name(self) -> Optional[str]:
+        """A bare identifier or a quoted name (``@"6vecadd..."``, which
+        the printer uses for any name that is not a bare identifier)."""
+        if self._peek('"'):
+            return self._parse_string_literal("symbol name")
+        return self._match(_IDENT_RE)
 
     def _parse_symbol_ref(self) -> SymbolRefAttr:
         self._expect("@")
-        root = self._match(_IDENT_RE)
+        root = self._parse_symbol_name()
         if root is None:
             self.error("expected a symbol name after '@'")
         nested: List[str] = []
         while self._consume("::"):
             self._expect("@", "in a nested symbol reference")
-            name = self._match(_IDENT_RE)
+            name = self._parse_symbol_name()
             if name is None:
                 self.error("expected a nested symbol name after '::@'")
             nested.append(name)

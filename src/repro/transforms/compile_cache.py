@@ -2,33 +2,39 @@
 
 A :class:`CompileCache` memoizes pass-manager runs: the key is
 ``(textual fingerprint of the input, canonical pipeline spec)`` and
-the value is a detached *template* of the optimized module plus the
-statistics and remarks the run produced.  The textual fingerprint is a
-hash of the *printed* module — hits splice a printable result back in,
-so the key must capture exactly what determines output identity,
-including SSA name spellings (the structural fingerprint in
-``repro.ir.fingerprint`` deliberately ignores those; it serves
-name-insensitive equivalence queries like function deduplication).  Compiling the same module
-through the same pipeline a second time short-circuits the whole
-pipeline — the template is deep-cloned and spliced back in, which is
-structurally identical to a cold compile (``Operation.clone`` copies the
-full region tree) and several times cheaper than re-parsing printed IR.
-The template itself is never handed out, so later mutation of a spliced
-result cannot poison the cache.
+the value is the optimized module *as text* — printed with ``loc(...)``
+trailers, the lossless transport the process tier and the disk tier
+already use — plus the statistics and remarks the run produced.  The
+textual fingerprint is a hash of the *printed* module: hits splice a
+printable result back in, so the key must capture exactly what
+determines output identity, including SSA name spellings (the
+structural fingerprint in ``repro.ir.fingerprint`` deliberately ignores
+those; it serves name-insensitive equivalence queries like function
+deduplication).  Compiling the same module through the same pipeline a
+second time short-circuits the whole pipeline: the entry's text is
+parsed into a fresh module and spliced back in, which prints
+byte-identically to a cold compile.  Every hit parses its own private
+module, so later mutation of a spliced result cannot poison the cache.
+
+Holding text rather than a template ``Operation`` tree keeps an entry at
+the size of its printed form (about 10 KB for a ~100-op module,
+against ~110 KB of Python IR objects), so a daemon's cache memory does not grow
+with the number of distinct modules it has compiled.
 
 The cache is thread-safe (one lock around the LRU table) and is designed
 to be *shared*: one cache serves every segment of a ``repro-opt``
 batch run and every worker of a ``jobs=N`` pool.
 
-Since PR 8 the in-memory table can sit on top of a persistent
+The in-memory table can sit on top of a persistent
 :class:`~repro.transforms.disk_cache.DiskCache` (``disk=``), forming a
-two-tier read-through/write-through hierarchy: a memory miss consults
-the disk store, re-parses the persisted text into a template (the same
-lossless ``loc``-trailer transport the process tier validates), and
-promotes it so later lookups hit in memory; stores write through so a
-warm compile survives the process.  Disk entries that fail to re-parse
-are evicted on the spot and the lookup degrades to a cold compile —
-PR 7's recover-don't-fail contract extended to persistent state.
+two-tier read-through/write-through hierarchy.  Both tiers hold the same
+text: a memory miss consults the disk store and promotes the loaded text
+as is (no parse until a hit materializes it), and a store prints once
+and writes that text through, so a warm compile survives the process.
+An entry whose text fails to materialize is evicted on the spot and the
+compile runs cold; when the text came from disk the disk entry is
+recovered too: no cache state can fail a compile a cold run would
+pass.
 """
 
 from __future__ import annotations
@@ -54,18 +60,29 @@ def text_fingerprint(text: str) -> str:
 class CachedCompile:
     """The reusable outcome of one pass-manager run."""
 
-    #: Detached optimized module; hits splice a deep clone of it.
-    module: Operation
+    #: The optimized module printed with ``loc(...)`` trailers.
+    text: str
     #: ``(pass_name, statistic name, value)`` triples.
     statistics: List[Tuple[str, str, int]] = field(default_factory=list)
     remarks: List[str] = field(default_factory=list)
     #: Class names of analyses the compiling run left valid for the cached
     #: module; a hit carries them so consumers know what can be warmed.
     preserved_analyses: Tuple[str, ...] = ()
+    #: The text was promoted from the disk tier (a failed materialization
+    #: then recovers the disk entry as well).
+    from_disk: bool = False
 
     def materialize(self) -> Operation:
-        """A private deep clone of the cached module."""
-        return self.module.clone({})
+        """A private module parsed from the cached text.
+
+        Unregistered ops are accepted: the text is the printer's output
+        for a module that already held them (input parsed with
+        ``allow_unregistered``), and a hit must reproduce it.
+        """
+        from ..ir import parse_module
+
+        return parse_module(self.text, allow_unregistered=True,
+                            filename="<compile-cache>")
 
 
 @dataclass
@@ -128,33 +145,20 @@ class CompileCache:
             self.stats.misses += 1
         if self.disk is None:
             return None
-        # Read-through: parse/promote runs outside the lock — disk I/O
-        # and re-parsing must not serialize concurrent compiles.
-        entry = self._read_through(key)
-        if entry is not None:
-            self._promote(key, entry)
-        return entry
-
-    def _read_through(self, key: CacheKey) -> Optional[CachedCompile]:
+        # Read-through: disk I/O runs outside the lock so it does not
+        # serialize concurrent compiles.
         payload = self.disk.load(key)
         if payload is None:
             return None
-        from ..ir import ParseError, parse_module
-
-        try:
-            module = parse_module(payload["text"], filename="<disk-cache>")
-        except (ParseError, RecursionError):
-            # The text passed its fingerprint but no longer parses (a
-            # schema drift or a printer/parser bug): evict and recompile
-            # rather than fail a compile a cold run would pass.
-            self.disk.recover(key)
-            return None
-        return CachedCompile(
-            module=module,
+        entry = CachedCompile(
+            text=payload["text"],
             statistics=[tuple(triple) for triple in payload["statistics"]],
             remarks=list(payload["remarks"]),
             preserved_analyses=tuple(payload["preserved_analyses"]),
+            from_disk=True,
         )
+        self._promote(key, entry)
+        return entry
 
     def _promote(self, key: CacheKey, entry: CachedCompile) -> None:
         """Install a disk-tier hit in the memory table without touching
@@ -170,29 +174,26 @@ class CompileCache:
     def store(self, key: CacheKey, entry: CachedCompile) -> None:
         self._promote(key, entry)
         if self.disk is not None:
-            self._write_through(key, entry)
-
-    def _write_through(self, key: CacheKey, entry: CachedCompile) -> None:
-        from ..ir import Printer
-
-        text = Printer(print_locations=True).print_module(entry.module)
-        self.disk.store(
-            key, text,
-            statistics=entry.statistics,
-            remarks=entry.remarks,
-            preserved_analyses=entry.preserved_analyses,
-        )
+            self.disk.store(
+                key, entry.text,
+                statistics=entry.statistics,
+                remarks=entry.remarks,
+                preserved_analyses=entry.preserved_analyses,
+            )
 
     def evict(self, key: CacheKey) -> bool:
-        """Drop one entry (the self-healing path: a hit whose
-        clone/splice failed is evicted so the next compile runs cold
-        instead of re-serving the corrupt template)."""
+        """Drop one entry: the self-healing path, taken when a hit fails
+        to materialize or splice, so the next compile runs cold instead
+        of re-serving the corrupt text.  An entry read from disk is
+        recovered (evicted and counted) in the disk tier as well."""
         with self._lock:
-            if key not in self._entries:
+            entry = self._entries.pop(key, None)
+            if entry is None:
                 return False
-            del self._entries[key]
             self.stats.evictions += 1
-            return True
+        if entry.from_disk and self.disk is not None:
+            self.disk.recover(key)
+        return True
 
     def __len__(self) -> int:
         with self._lock:

@@ -43,7 +43,7 @@ from typing import (
 )
 
 from ..faults import TransientFault, fault_point
-from ..ir import Operation, Trait, has_trait
+from ..ir import Operation, Printer, Trait, has_trait
 from ..ir.concurrency import (
     WriteGuard,
     guarded_region,
@@ -825,9 +825,10 @@ class PassManager(OpPassManager):
             cache_key = self.cache.key_for(op, self.to_spec())
             hit = self.cache.lookup(cache_key)
             if hit is not None:
-                # Self-healing: a corrupt entry (failed clone/splice)
-                # must never fail a compile a cold run would pass —
-                # evict it and fall through to the cold path.
+                # Self-healing: a corrupt entry (text that fails to
+                # parse, a failed splice) must never fail a compile a
+                # cold run would pass — evict it and fall through to the
+                # cold path.
                 try:
                     materialized = hit.materialize()
                     if fault_point("compile-cache.hit",
@@ -866,7 +867,7 @@ class PassManager(OpPassManager):
             from .compile_cache import CachedCompile
 
             self.cache.store(cache_key, CachedCompile(
-                module=op.clone({}),
+                text=Printer(print_locations=True).print_module(op),
                 statistics=[(s.pass_name, s.name, s.value)
                             for s in fresh.statistics],
                 remarks=list(fresh.remarks),
@@ -903,10 +904,10 @@ class PassManager(OpPassManager):
     def _splice_cached(op: Operation, materialized: Operation) -> None:
         """Replace ``op``'s body with a materialized cached result.
 
-        ``materialized`` is a private deep clone of the cached template,
-        so the spliced body is structurally identical to what a cold
-        compile would have produced and shares no state with the cache.
-        Children are detached from the clone *before* the target is
+        ``materialized`` is a private module parsed from the cached text,
+        so the spliced body prints exactly as a cold compile's would and
+        shares no state with the cache.
+        Children are detached from it *before* the target is
         emptied, so every failure-prone step happens while ``op`` is
         still untouched (the cache self-healing path relies on that).
         """

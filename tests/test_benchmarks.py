@@ -206,6 +206,40 @@ class TestCompareGate:
         assert "500ops/parse" in capsys.readouterr().err
 
     @staticmethod
+    def _sized_payload(parse_us_per_op):
+        """Records at 500 and 5000 ops with the given parse µs/op."""
+        return {"records": [
+            {"num_ops": ops, "config": {"num_ops": ops},
+             "timings_s": {"parse": ops * us * 1e-6}}
+            for ops, us in zip((500, 5000), parse_us_per_op)]}
+
+    def test_flat_parse_scaling_passes(self, tmp_path, capsys):
+        payload = self._sized_payload((30.0, 40.0))
+        assert self._run_main(tmp_path, payload, payload) == 0
+        assert "parse scaling: 30.0 us/op at 500 ops" in \
+            capsys.readouterr().out
+
+    def test_superlinear_parse_fails_without_any_regression(self, tmp_path,
+                                                             capsys):
+        # Identical to its baseline, so the 25% rule passes; the
+        # per-op growth alone fails the gate.
+        payload = self._sized_payload((30.0, 60.0))
+        assert self._run_main(tmp_path, payload, payload) == 1
+        assert "superlinear parser" in capsys.readouterr().err
+
+    def test_scaling_check_fails_the_quadratic_committed_runs(self):
+        root = Path(__file__).resolve().parent.parent
+        ratios = {name: bench_compare.per_op_scaling(json.loads(
+            (root / name).read_text()))["ratio"]
+            for name in ("BENCH_2.json", "BENCH_6.json", "BENCH_10.json")}
+        assert ratios["BENCH_2.json"] <= bench_compare.PARSE_SCALING_LIMIT
+        assert ratios["BENCH_6.json"] > bench_compare.PARSE_SCALING_LIMIT
+        assert ratios["BENCH_10.json"] > bench_compare.PARSE_SCALING_LIMIT
+
+    def test_single_size_run_has_no_scaling_check(self):
+        assert bench_compare.per_op_scaling(self._payload()) is None
+
+    @staticmethod
     def _run_main(tmp_path, baseline, candidate, *extra):
         baseline_path = tmp_path / "baseline.json"
         candidate_path = tmp_path / "candidate.json"
