@@ -4,8 +4,7 @@
 op count, loop nesting depth, CSE-duplicate density and SYCL-style kernel
 shapes; ``benchmarks.runner`` times parse / print / canonicalize / CSE /
 full-pipeline runs over them and emits a ``BENCH_<n>.json`` trajectory
-file.  ``benchmarks.legacy`` keeps the pre-worklist restart-sweep drivers
-alive so speedups can be attributed to the driver strategy, not to noise.
+file.
 
 Run it with::
 

@@ -5,7 +5,6 @@ Tracked scenarios are flattened to ``name -> seconds``:
 
 * per-size phase timings: ``"<num_ops>ops/<phase>"`` (print, parse, the
   pass combinations, the full pipeline);
-* the parallel scenario: ``"parallel/jobs=<N>"``;
 * the cache scenario: ``"cache/cold"`` and ``"cache/warm"``;
 * the interpreter scenarios: ``"interp/<name>"``;
 * the tiered-execution scenarios: ``"jit/<name>"`` / ``"vector/<name>"``;
@@ -67,11 +66,7 @@ def flatten_scenarios(results: Dict) -> Dict[str, float]:
         size = record.get("config", {}).get("num_ops", record.get("num_ops"))
         for phase, seconds in record.get("timings_s", {}).items():
             scenarios[f"{size}ops/{phase}"] = seconds
-    concurrency = results.get("concurrency", {})
-    parallel = concurrency.get("parallel", {})
-    for jobs, seconds in parallel.get("jobs_timings_s", {}).items():
-        scenarios[f"parallel/jobs={jobs}"] = seconds
-    cache = concurrency.get("cache", {})
+    cache = results.get("concurrency", {}).get("cache", {})
     for phase in ("cold", "warm"):
         if f"{phase}_s" in cache:
             scenarios[f"cache/{phase}"] = cache[f"{phase}_s"]
@@ -82,7 +77,7 @@ def flatten_scenarios(results: Dict) -> Dict[str, float]:
         if name is not None and seconds is not None:
             scenarios[f"interp/{name}"] = seconds
     # Families whose record names already carry their prefix
-    # ("lint/listing-sweep", "process/splice-jobs4",
+    # ("lint/listing-sweep", "process/batch-jobs4",
     # "disk/warm-fresh-process", "serve/round-trip",
     # "jit/vecadd-exec", "vector/gemm-exec", "lower/pipeline-gemm").
     for family in ("static", "process", "serve", "jit", "lower"):

@@ -46,7 +46,7 @@ def _time_best(callable_: Callable[[], object], repeats: int) -> float:
 def _lower(module):
     """``lower-to-llvm`` on a clone; the input module stays structured."""
     lowered = module.clone({})
-    build_named_pipeline("lower-to-llvm", None, 1).run(lowered)
+    build_named_pipeline("lower-to-llvm").run(lowered)
     return lowered
 
 

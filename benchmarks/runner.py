@@ -11,10 +11,6 @@ seed), then times, each on a freshly generated copy:
   position, ``"0: canonicalize"``, so duplicate passes stay distinct);
 * ``pipeline:adaptivecpp-aot`` — a full named pipeline end to end.
 
-With ``--compare-legacy`` the restart-sweep drivers preserved in
-:mod:`benchmarks.legacy` run on the same inputs, attributing speedups to
-the worklist rewrite engine rather than to machine noise.
-
 Results are written as JSON (``BENCH_2.json`` by convention — the number
 is the PR that produced it) so later PRs can extend the trajectory.
 """
@@ -40,9 +36,6 @@ from .generate import GeneratorConfig, count_ops, generate_module
 
 #: Default size ladder; ``--smoke`` keeps only the first entry.
 DEFAULT_SIZES = (500, 2000, 5000)
-
-#: Job counts exercised by the parallel-speedup scenario.
-DEFAULT_JOBS = (1, 2, 4)
 
 #: The per-function pipeline used by the concurrency scenarios.
 CONCURRENCY_PIPELINE = "builtin.module(func.func(canonicalize,cse,dce))"
@@ -80,7 +73,6 @@ def _run_passes(config: GeneratorConfig, passes) -> CompileReport:
 
 
 def bench_config(config: GeneratorConfig, repeats: int = 3,
-                 compare_legacy: bool = False,
                  check: bool = False) -> Dict:
     """Benchmark one generator configuration; returns a JSON-able record."""
     module = generate_module(config)
@@ -115,60 +107,10 @@ def bench_config(config: GeneratorConfig, repeats: int = 3,
         "pass_timings_s": pass_timings,
         "statistics": statistics,
     }
-
-    if compare_legacy:
-        from . import legacy
-
-        legacy_timings: Dict[str, float] = {}
-        legacy_timings["canonicalize+cse"] = _time(
-            legacy.run_legacy_canonicalize_cse,
-            repeats, setup=lambda: generate_module(config))
-        record["legacy_timings_s"] = legacy_timings
-        worklist = timings["canonicalize+cse"]
-        if worklist > 0:
-            record["legacy_speedup"] = (
-                legacy_timings["canonicalize+cse"] / worklist)
     return record
 
 
-def bench_parallel(config: GeneratorConfig,
-                   jobs_list=DEFAULT_JOBS, repeats: int = 3) -> Dict:
-    """Parallel-speedup scenario: the same per-function pipeline at
-    increasing ``jobs``, on a many-function module.
-
-    CPython's GIL serializes the pure-Python pass bodies, so thread-pool
-    speedups here measure scheduling overhead rather than multi-core
-    scaling; the scenario exists to keep ``--jobs`` overhead bounded (a
-    tracked regression scenario) and to light up on free-threaded builds.
-    """
-    module = generate_module(config)
-    num_functions = sum(1 for op in module.walk(include_self=False)
-                        if op.name == "func.func")
-    jobs_timings: Dict[str, float] = {}
-    for jobs in jobs_list:
-        manager = parse_pass_pipeline(CONCURRENCY_PIPELINE)
-        manager.jobs = jobs
-        try:
-            jobs_timings[str(jobs)] = _time(
-                lambda m, manager=manager: manager.run(m),
-                repeats, setup=lambda: generate_module(config))
-        finally:
-            manager.close()
-    serial_key = str(jobs_list[0])
-    serial = jobs_timings[serial_key]
-    speedups = {key: (serial / value if value > 0 else 0.0)
-                for key, value in jobs_timings.items() if key != serial_key}
-    return {
-        "config": config.describe(),
-        "pipeline": CONCURRENCY_PIPELINE,
-        "num_functions": num_functions,
-        "jobs_timings_s": jobs_timings,
-        "speedup_vs_serial": speedups,
-    }
-
-
-def bench_cache(config: GeneratorConfig, repeats: int = 3,
-                jobs: int = 1) -> Dict:
+def bench_cache(config: GeneratorConfig, repeats: int = 3) -> Dict:
     """Cache scenario: cold compile (miss + store) vs warm compile (hit).
 
     Every repeat regenerates the input module, so the warm timing is a
@@ -178,7 +120,6 @@ def bench_cache(config: GeneratorConfig, repeats: int = 3,
     """
     def manager_with(cache: CompileCache) -> PassManager:
         manager = parse_pass_pipeline(CONCURRENCY_PIPELINE)
-        manager.jobs = jobs
         manager.cache = cache
         return manager
 
@@ -195,8 +136,6 @@ def bench_cache(config: GeneratorConfig, repeats: int = 3,
     warm_manager = manager_with(warm_cache)
     warm = _time(lambda m: warm_manager.run(m), repeats,
                  setup=lambda: generate_module(config))
-    warm_manager.close()
-    primer.close()
     return {
         "config": config.describe(),
         "pipeline": CONCURRENCY_PIPELINE,
@@ -254,22 +193,14 @@ def bench_static(repeats: int = 3, num_ops: int = 8000,
 
 
 def bench_process(repeats: int = 3, jobs: int = 4,
-                  num_functions: int = 64, num_ops: int = 4000,
                   num_segments: int = 6, segment_ops: int = 1500,
                   seed: int = 0) -> Dict:
-    """The BENCH_7 scenario family: the supervised process tier.
+    """The BENCH_7 scenario family: supervised process batches.
 
-    Four scenarios, all on the BENCH_4 concurrency shapes:
-
-    * ``process/serial`` — the serial baseline (same module, jobs=1);
-    * ``process/splice-jobs{N}`` — function-splice mode: per-function
-      text ships to worker processes, results re-parse and splice back
-      (byte-identical to serial by contract);
     * ``process/batch-serial`` vs ``process/batch-jobs{N}`` — whole
       segments compiled in workers, the parent only stitching printed
-      text (the ``repro-opt --split-input-file --parallel-tier
-      process`` path, and the first target for real multi-core wins);
-    * ``process/splice-faulty`` — splice mode with one injected
+      text (the ``repro-opt --split-input-file --jobs N`` path);
+    * ``process/batch-faulty`` — the same batch with one injected
       transient worker fault, pricing a supervised recovery.
 
     ``cpu_count`` is recorded alongside: on a single-CPU host the
@@ -284,39 +215,11 @@ def bench_process(repeats: int = 3, jobs: int = 4,
         ExecutorOptions,
         SupervisedExecutor,
         WorkUnit,
-        validate_segment_result,
     )
 
-    config = GeneratorConfig(num_ops=num_ops, num_kernels=num_functions,
-                             nesting_depth=1, seed=seed)
     records: List[Dict] = []
-
-    serial_manager = parse_pass_pipeline(CONCURRENCY_PIPELINE)
-    try:
-        serial = _time(lambda m: serial_manager.run(m), repeats,
-                       setup=lambda: generate_module(config))
-    finally:
-        serial_manager.close()
-    records.append({"name": "process/serial", "seconds": serial})
-
-    def process_manager():
-        manager = parse_pass_pipeline(CONCURRENCY_PIPELINE)
-        manager.jobs = jobs
-        manager.tier = "process"
-        return manager
-
-    manager = process_manager()
-    try:
-        splice = _time(lambda m: manager.run(m), repeats,
-                       setup=lambda: generate_module(config))
-    finally:
-        manager.close()
-    records.append({"name": f"process/splice-jobs{jobs}",
-                    "seconds": splice})
-
-    # Batch-segment mode: one printed module per segment, compiled
-    # whole in a worker; serial reference is the same parse/run/print
-    # loop in-process.
+    # One printed module per segment; the serial reference is the same
+    # parse/run/print loop in-process.
     segment_texts = [
         Printer().print_module(generate_module(GeneratorConfig(
             num_ops=segment_ops, num_kernels=4, nesting_depth=1,
@@ -326,28 +229,23 @@ def bench_process(repeats: int = 3, jobs: int = 4,
 
     def compile_batch_serial() -> None:
         manager = parse_pass_pipeline(CONCURRENCY_PIPELINE)
-        try:
-            for text in segment_texts:
-                module = parse_module(text)
-                manager.run(module)
-                Printer().print_module(module)
-        finally:
-            manager.close()
+        for text in segment_texts:
+            module = parse_module(text)
+            manager.run(module)
+            Printer().print_module(module)
 
     batch_serial = _time(compile_batch_serial, repeats)
     records.append({"name": "process/batch-serial",
                     "seconds": batch_serial})
 
-    spec = CONCURRENCY_PIPELINE
-
     def compile_batch_process() -> None:
         executor = SupervisedExecutor(ExecutorOptions(jobs=jobs))
         try:
             units = [WorkUnit(uid=index, label=f"segment{index}",
-                              kind="segment", text=text, spec=spec)
+                              text=text, spec=CONCURRENCY_PIPELINE)
                      for index, text in enumerate(segment_texts)]
             executor.run_units(
-                units, validate_segment_result,
+                units,
                 lambda unit, attempts, events: (_ for _ in ()).throw(
                     RuntimeError("benchmark unit degraded")))
         finally:
@@ -357,48 +255,35 @@ def bench_process(repeats: int = 3, jobs: int = 4,
     records.append({"name": f"process/batch-jobs{jobs}",
                     "seconds": batch_process})
 
-    manager = process_manager()
-    try:
-        with fault_plan("executor.worker=transient"):
-            faulty = _time(lambda m: manager.run(m), 1,
-                           setup=lambda: generate_module(config))
-    finally:
-        manager.close()
-    records.append({"name": "process/splice-faulty", "seconds": faulty})
+    with fault_plan("executor.worker@segment0=transient"):
+        faulty = _time(compile_batch_process, repeats)
+    records.append({"name": "process/batch-faulty", "seconds": faulty})
 
     return {
-        "config": config.describe(),
         "pipeline": CONCURRENCY_PIPELINE,
         "jobs": jobs,
         "cpu_count": os.cpu_count(),
         "num_segments": num_segments,
         "records": records,
         "speedup_vs_serial": {
-            f"splice-jobs{jobs}": (serial / splice) if splice > 0 else 0.0,
             f"batch-jobs{jobs}": (batch_serial / batch_process)
             if batch_process > 0 else 0.0,
         },
     }
 
 
-def run_concurrency_suite(repeats: int = 3, jobs_list=DEFAULT_JOBS,
-                          num_functions: int = 64,
+def run_concurrency_suite(repeats: int = 3, num_functions: int = 64,
                           num_ops: int = 4000, seed: int = 0) -> Dict:
-    """The BENCH_4 scenario family: parallel speedup + cache hits."""
+    """The BENCH_4 scenario family: compile-cache hits."""
     config = GeneratorConfig(num_ops=num_ops, num_kernels=num_functions,
                              nesting_depth=1, seed=seed)
-    return {
-        "parallel": bench_parallel(config, jobs_list=jobs_list,
-                                   repeats=repeats),
-        "cache": bench_cache(config, repeats=repeats),
-    }
+    return {"cache": bench_cache(config, repeats=repeats)}
 
 
-def run_suite(sizes=DEFAULT_SIZES, repeats: int = 3,
-              compare_legacy: bool = False, check: bool = False,
+def run_suite(sizes=DEFAULT_SIZES, repeats: int = 3, check: bool = False,
               nesting_depth: int = 2, duplicate_density: float = 0.25,
               num_kernels: int = 2, seed: int = 0,
-              concurrency: bool = False, jobs_list=DEFAULT_JOBS,
+              concurrency: bool = False,
               concurrency_functions: int = 64,
               concurrency_ops: int = 4000,
               interp: bool = False, interp_smoke: bool = False,
@@ -415,9 +300,7 @@ def run_suite(sizes=DEFAULT_SIZES, repeats: int = 3,
             num_ops=size, nesting_depth=nesting_depth,
             duplicate_density=duplicate_density,
             num_kernels=num_kernels, seed=seed)
-        records.append(bench_config(config, repeats=repeats,
-                                    compare_legacy=compare_legacy,
-                                    check=check))
+        records.append(bench_config(config, repeats=repeats, check=check))
     results = {
         "schema": "repro-bench/1",
         "python": platform.python_version(),
@@ -426,8 +309,7 @@ def run_suite(sizes=DEFAULT_SIZES, repeats: int = 3,
     }
     if concurrency:
         results["concurrency"] = run_concurrency_suite(
-            repeats=repeats, jobs_list=jobs_list,
-            num_functions=concurrency_functions,
+            repeats=repeats, num_functions=concurrency_functions,
             num_ops=concurrency_ops, seed=seed)
     if interp:
         from .interp_bench import run_interp_suite
@@ -449,8 +331,7 @@ def run_suite(sizes=DEFAULT_SIZES, repeats: int = 3,
     if process:
         results["process"] = bench_process(
             repeats=repeats, jobs=process_jobs,
-            num_functions=concurrency_functions,
-            num_ops=concurrency_ops, num_segments=process_segments,
+            num_segments=process_segments,
             segment_ops=process_segment_ops, seed=seed)
     if serve:
         from .serve_bench import bench_serve
@@ -474,12 +355,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="take the best of N runs (default 3)")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny sizes + 1 repeat + verification, for CI")
-    parser.add_argument("--compare-legacy", action="store_true",
-                        help="also time the pre-worklist restart-sweep "
-                             "drivers (benchmarks.legacy)")
     parser.add_argument("--concurrency", action="store_true",
-                        help="also run the parallel-speedup and cache-hit "
-                             "scenario family (the BENCH_4 scenarios)")
+                        help="also run the compile-cache hit scenario "
+                             "family (the BENCH_4 scenarios)")
     parser.add_argument("--interp", action="store_true",
                         help="also run the interpreter execution and "
                              "differential scenario family (the BENCH_5 "
@@ -498,16 +376,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "warm-vs-cold scenario family (the BENCH_6 "
                              "scenarios)")
     parser.add_argument("--process", action="store_true",
-                        help="also run the supervised process-tier "
+                        help="also run the supervised process-batch "
                              "scenario family (the BENCH_7 scenarios)")
     parser.add_argument("--serve", action="store_true",
                         help="also run the compile-service / disk-cache "
                              "scenario family (the BENCH_8 scenarios)")
-    parser.add_argument("--jobs-list", default=None, metavar="N,N,...",
-                        help="job counts for the parallel scenario "
-                             f"(default: {','.join(map(str, DEFAULT_JOBS))})")
     parser.add_argument("--functions", type=int, default=64,
-                        help="function count for the concurrency scenarios "
+                        help="function count for the cache scenarios "
                              "(default 64)")
     parser.add_argument("--baseline", default=None, metavar="FILE",
                         help="embed FILE's results under 'baseline' "
@@ -535,12 +410,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         process_segment_ops = 1500
         serve_ops = 2000
         serve_requests = 3
-    jobs_list = ([int(j) for j in args.jobs_list.split(",")]
-                 if args.jobs_list else list(DEFAULT_JOBS))
 
-    results = run_suite(sizes=sizes, repeats=repeats,
-                        compare_legacy=args.compare_legacy, check=check,
-                        concurrency=args.concurrency, jobs_list=jobs_list,
+    results = run_suite(sizes=sizes, repeats=repeats, check=check,
+                        concurrency=args.concurrency,
                         concurrency_functions=concurrency_functions,
                         concurrency_ops=concurrency_ops,
                         interp=args.interp, interp_smoke=args.smoke,
@@ -560,20 +432,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write(payload)
         summary = []
         for record in results["records"]:
-            line = (f"{record['num_ops']} ops: "
-                    f"canonicalize+cse {record['timings_s']['canonicalize+cse']:.4f}s")
-            if "legacy_speedup" in record:
-                line += (f" (legacy "
-                         f"{record['legacy_timings_s']['canonicalize+cse']:.4f}s, "
-                         f"{record['legacy_speedup']:.1f}x speedup)")
-            summary.append(line)
-        if "concurrency" in results:
-            parallel = results["concurrency"]["parallel"]
-            jobs = ", ".join(
-                f"jobs={key}: {value:.4f}s"
-                for key, value in parallel["jobs_timings_s"].items())
             summary.append(
-                f"parallel ({parallel['num_functions']} functions): {jobs}")
+                f"{record['num_ops']} ops: canonicalize+cse "
+                f"{record['timings_s']['canonicalize+cse']:.4f}s")
+        if "concurrency" in results:
             cached = results["concurrency"]["cache"]
             summary.append(
                 f"cache: cold {cached['cold_s']:.4f}s, "
@@ -604,13 +466,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             speedups = process["speedup_vs_serial"]
             jobs = process["jobs"]
             summary.append(
-                f"process tier (jobs={jobs}, "
+                f"process batch (jobs={jobs}, "
                 f"{process['cpu_count']} cpu): "
-                f"serial {timings['process/serial']:.4f}s, "
-                f"splice {timings[f'process/splice-jobs{jobs}']:.4f}s "
-                f"({speedups[f'splice-jobs{jobs}']:.2f}x), "
-                f"batch {timings[f'process/batch-jobs{jobs}']:.4f}s "
-                f"({speedups[f'batch-jobs{jobs}']:.2f}x)")
+                f"serial {timings['process/batch-serial']:.4f}s, "
+                f"jobs {timings[f'process/batch-jobs{jobs}']:.4f}s "
+                f"({speedups[f'batch-jobs{jobs}']:.2f}x), "
+                f"faulty {timings['process/batch-faulty']:.4f}s")
         if "serve" in results:
             serve = results["serve"]
             timings = {record["name"]: record["seconds"]

@@ -17,14 +17,12 @@ Passes request analyses by class —
   analysis whose anchor is that op, one of its ancestors or one of its
   descendants — *except* the classes the pass declares in
   ``Pass.preserves()`` (MLIR's ``markAnalysesPreserved``);
-* hit/miss/invalidation counts are kept per manager and aggregate across
-  the per-worker child managers the ``jobs=N`` scheduler spawns
-  (:meth:`child` / :meth:`absorb`).
+* hit/miss/invalidation counts are kept per manager.
 
 The *current* manager is tracked per thread
 (:func:`current_analysis_manager` / :func:`analysis_scope`) rather than
-stored on pass instances: the parallel scheduler runs one pass instance
-concurrently across functions, so instance state would race.
+stored on pass instances, and the manager's table sits behind a lock:
+``repro-served`` shares one manager across its request threads.
 """
 
 from __future__ import annotations
@@ -148,25 +146,6 @@ class AnalysisManager:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-
-    # -- parallel scheduling ----------------------------------------------
-    def child(self) -> "AnalysisManager":
-        """A fresh manager for one worker of the ``jobs=N`` scheduler.
-
-        Workers run on disjoint isolated functions, so children start
-        empty (module-anchored entries cannot be shared safely while
-        sibling workers mutate the module's functions) and their stats
-        are folded back with :meth:`absorb`.
-        """
-        return AnalysisManager()
-
-    def absorb(self, worker: "AnalysisManager") -> None:
-        """Fold a worker manager's stats (and live entries) back in."""
-        with self._lock:
-            self.hits += worker.hits
-            self.misses += worker.misses
-            self.invalidations += worker.invalidations
-            self._entries.update(worker._entries)
 
     # -- compile-cache interplay ------------------------------------------
     def note_carried(self, analysis_names) -> None:

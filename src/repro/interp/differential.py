@@ -200,7 +200,7 @@ def synthesize_spec(function: FuncOp,
     synthesized (callers turn that into a "skipped" entry).
     """
     spec = spec or ExecutionSpec()
-    resolved = _ResolvedSpec(kind="function")
+    resolved = _ResolvedSpec("function")
     item_dims = 0
     for argument in function.arguments:
         item_type = _item_argument_type(argument.type)
@@ -462,7 +462,7 @@ def run_differential(module: ModuleOp,
     ``pipeline`` may be a :class:`~repro.transforms.pass_manager.PassManager`,
     a named pipeline (``"sycl-mlir"``) or a pipeline spec string.  Pass
     ``manager`` to run the (already resolved) pipeline through a specific
-    pass manager — e.g. one with ``jobs=4`` or a warm
+    pass manager — e.g. one with a warm
     :class:`~repro.transforms.compile_cache.CompileCache` — while
     ``pipeline`` still provides the display name.
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type as PyType
 
-from . import concurrency
 from .attributes import Attribute, IntegerAttr, BoolAttr, StringAttr
 from .traits import Trait, has_trait
 from .types import Type
@@ -28,9 +27,7 @@ class IRError(Exception):
 #: AnalysisManager's hit path) can validate cached derived data with one
 #: integer compare instead of an O(n) re-hash.  Like ``_index_cache``,
 #: the contract is "bursts of queries between mutations pay once".  The
-#: counter is monotone; concurrent mutation is already restricted to
-#: disjoint functions by the jobs=N write guard, which keeps the
-#: increment-race window irrelevant for any fingerprint a worker can see.
+#: counter is monotone.
 _MUTATION_CLOCK = 0
 
 
@@ -113,8 +110,6 @@ class Operation:
         value.add_use(Use(self, index))
 
     def set_operand(self, index: int, value: Value) -> None:
-        if concurrency._ACTIVE_GUARD is not None:
-            concurrency._ACTIVE_GUARD.check_op(self)
         _bump_mutation_clock()
         old = self._operands[index]
         old.remove_use(self, index)
@@ -440,8 +435,6 @@ class Block:
         return self._last
 
     def append(self, op: Operation) -> Operation:
-        if concurrency._ACTIVE_GUARD is not None:
-            concurrency._ACTIVE_GUARD.check_block(self)
         _bump_mutation_clock()
         op.detach()
         op.parent = self
@@ -474,8 +467,6 @@ class Block:
         return self.insert_before(anchor, op)
 
     def insert_before(self, anchor: Operation, op: Operation) -> Operation:
-        if concurrency._ACTIVE_GUARD is not None:
-            concurrency._ACTIVE_GUARD.check_block(self)
         if anchor.parent is not self:
             raise IRError("insertion anchor is not in this block")
         if op is anchor:
@@ -505,8 +496,6 @@ class Block:
 
     def _unlink(self, op: Operation) -> None:
         """Remove ``op`` from the intrusive list (O(1))."""
-        if concurrency._ACTIVE_GUARD is not None:
-            concurrency._ACTIVE_GUARD.check_block(self)
         _bump_mutation_clock()
         prev, nxt = op._prev, op._next
         if prev is not None:

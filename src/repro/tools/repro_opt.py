@@ -28,11 +28,12 @@ Pass-instrumentation backed debugging flags mirror mlir-opt:
 
 Batch mode: several input paths and/or ``--split-input-file`` (segments
 separated by ``// -----`` lines, the mlir-opt convention) compile every
-module through *one* pass manager — one fingerprint-keyed
+module through *one* pass manager and one fingerprint-keyed
 :class:`~repro.transforms.compile_cache.CompileCache` (disable with
-``--no-cache``) and, with ``--jobs N``, one shared worker pool that runs
-``func.func``-anchored pipelines once per function concurrently.
-Optimized modules are printed in input order, joined by ``// -----``.
+``--no-cache``).  ``--jobs N`` instead ships whole segments to ``N``
+supervised worker processes (:mod:`repro.transforms.executor`), which
+share the ``--cache-dir`` disk cache.  Optimized modules are printed in
+input order, joined by ``// -----``.
 
 This is the workflow MLIR passes are developed against: every transform
 gets textual before/after test cases runnable through this driver (see
@@ -62,10 +63,10 @@ from ..transforms.compile_cache import CompileCache, text_fingerprint
 from ..transforms.disk_cache import DiskCache, cache_dir_from_env
 from ..transforms.executor import (
     ExecutorOptions,
+    SupervisedExecutor,
     TierError,
     WorkResult,
     WorkUnit,
-    validate_segment_result,
 )
 from ..transforms.pass_manager import (
     CompileReport,
@@ -91,7 +92,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "inputs", nargs="*", default=["-"], metavar="input",
         help="input IR files, or '-' for stdin (default); several files "
-             "form a batch compiled through one shared cache and pool")
+             "form a batch compiled through one shared cache")
     parser.add_argument(
         "-o", "--output", default="-",
         help="output file, or '-' for stdout (default)")
@@ -101,19 +102,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
              "segment as its own module (batch mode)")
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="run func.func-anchored pipelines once per function across "
-             "N worker threads (default 1 = serial)")
+        help="compile batch segments across N supervised worker "
+             "processes (default 1 = in-process serial; a single module "
+             "always compiles in-process)")
     parser.add_argument(
-        "--parallel-tier", default="thread", choices=("thread", "process"),
-        help="worker tier for --jobs N: 'thread' (shared-memory, "
-             "GIL-bound) or 'process' (supervised worker processes; "
-             "batches ship whole segments, otherwise functions are "
-             "shipped as text and spliced back)")
-    parser.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="per-work-unit wall-clock deadline on the process tier "
-             "before a worker is presumed hung and the pool restarted "
-             "(default 60)")
+        "--deadline", type=float, default=ExecutorOptions.deadline,
+        metavar="SECONDS",
+        help="per-segment wall-clock deadline under --jobs N before a "
+             "worker is presumed hung and the pool restarted "
+             "(default %(default)s)")
     parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the fingerprint-keyed compile cache shared across "
@@ -315,8 +312,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: :func:`_main` plus graceful Ctrl-C.
 
     A ``KeyboardInterrupt`` anywhere in the run (including inside a
-    worker-pool wait) unwinds through ``_main``'s ``finally`` — which
-    terminates any process-tier workers, so an interrupt never orphans
+    worker-pool wait) unwinds through the batch's ``finally`` — which
+    terminates any worker processes, so an interrupt never orphans
     them — and exits with the conventional 130, no traceback.
     """
     try:
@@ -361,20 +358,14 @@ def _main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if args.pipeline:
-            manager = build_named_pipeline(args.pipeline, jobs=args.jobs)
+            manager = build_named_pipeline(args.pipeline)
         elif args.passes:
             manager = parse_pass_pipeline(args.passes)
-            manager.jobs = args.jobs
         else:
             manager = None
     except ValueError as exc:
         print(f"repro-opt: {exc}", file=sys.stderr)
         return 2
-    if manager is not None:
-        manager.tier = args.parallel_tier
-        if args.deadline is not None:
-            manager.executor_options = ExecutorOptions(
-                jobs=args.jobs, deadline=args.deadline)
 
     cache = None
     lint_each = None
@@ -405,9 +396,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
         # verification, no parent-side lint — workers parse, verify,
         # compile and print, the parent only stitches text.
         use_batch_process = (
-            args.parallel_tier == "process" and args.jobs > 1
-            and len(segments) > 1 and engine is None and not args.lint
-            and not manager.instrumentations
+            args.jobs > 1 and len(segments) > 1 and engine is None
+            and not args.lint and not manager.instrumentations
             # Workers print the classic form; exported syntax must go
             # through the in-process printer.
             and args.emit == "generic")
@@ -417,12 +407,14 @@ def _main(argv: Optional[List[str]] = None) -> int:
         # — create one only when it can actually serve, so --report
         # never shows a dead cache.  A disk tier (--cache-dir /
         # $REPRO_CACHE_DIR) changes the calculus: it hits across
-        # *invocations*, so it pays even for a single segment.
-        # (The process batch path dedupes identical segments itself.)
-        cache_dir = args.cache_dir or cache_dir_from_env()
-        if not args.no_cache and not manager.instrumentations \
-                and not use_batch_process \
-                and (len(segments) > 1 or cache_dir):
+        # *invocations*, so it pays even for a single segment, and
+        # batch workers share it.  (The process batch path dedupes
+        # identical segments itself, so it needs no memory tier.)
+        cacheable = not args.no_cache and not manager.instrumentations
+        cache_dir = (args.cache_dir or cache_dir_from_env()) \
+            if cacheable else None
+        if cache_dir or (cacheable and len(segments) > 1
+                         and not use_batch_process):
             disk = DiskCache(cache_dir) if cache_dir else None
             cache = CompileCache(disk=disk)
             manager.cache = cache
@@ -489,74 +481,70 @@ def _main(argv: Optional[List[str]] = None) -> int:
         return 0, (Printer(print_locations=args.print_locations)
                    .print_module(module) + "\n")
 
-    try:
-        if use_batch_process:
-            try:
-                printed, exit_code = _run_batch_process(
-                    args, manager, segments, report, compile_one)
-            except TierError as exc:
-                # The tier itself cannot make progress (pool unbuildable,
-                # rebuild budget exhausted): degrade the whole batch to
-                # the in-process path below.
-                report.remark(
-                    f"process-tier: degraded to in-process batch: {exc}")
-                report.add_statistic("process-tier", "degraded", 1)
-                use_batch_process = False
-                printed = []
-                exit_code = 0
-        if not use_batch_process:
-            for label, text in segments:
-                if engine is not None:
-                    # --verify-diagnostics: capture everything the
-                    # segment emits (verifier, lint) and check it
-                    # against the expected-* comments; broken IR is the
-                    # expected case here, so verification failures do
-                    # not abort the batch.
-                    try:
-                        module = parse_module(
-                            text,
-                            allow_unregistered=args.allow_unregistered,
-                            filename=label.split(" (segment")[0])
-                    except ParseError as exc:
-                        print(f"repro-opt: {label}: parse error: {exc}",
-                              file=sys.stderr)
-                        return 1
-                    with engine.capture() as captured:
-                        broken = False
+    if use_batch_process:
+        try:
+            printed, exit_code = _run_batch_process(
+                args, manager, segments, report, compile_one, cache)
+        except TierError as exc:
+            # The tier itself cannot make progress (pool unbuildable,
+            # rebuild budget exhausted): degrade the whole batch to
+            # the in-process path below.
+            report.remark(
+                f"process-tier: degraded to in-process batch: {exc}")
+            report.add_statistic("process-tier", "degraded", 1)
+            use_batch_process = False
+            printed = []
+            exit_code = 0
+    if not use_batch_process:
+        for label, text in segments:
+            if engine is not None:
+                # --verify-diagnostics: capture everything the
+                # segment emits (verifier, lint) and check it
+                # against the expected-* comments; broken IR is the
+                # expected case here, so verification failures do
+                # not abort the batch.
+                try:
+                    module = parse_module(
+                        text,
+                        allow_unregistered=args.allow_unregistered,
+                        filename=label.split(" (segment")[0])
+                except ParseError as exc:
+                    print(f"repro-opt: {label}: parse error: {exc}",
+                          file=sys.stderr)
+                    return 1
+                with engine.capture() as captured:
+                    broken = False
+                    if not args.no_verify:
+                        broken = bool(
+                            verify_with_diagnostics(module, engine))
+                    if manager is not None and not broken:
+                        try:
+                            manager.run(module, report=report)
+                        except ValueError as exc:
+                            print(f"repro-opt: {label}: {exc}",
+                                  file=sys.stderr)
+                            return 2
                         if not args.no_verify:
-                            broken = bool(
-                                verify_with_diagnostics(module, engine))
-                        if manager is not None and not broken:
-                            try:
-                                manager.run(module, report=report)
-                            except ValueError as exc:
-                                print(f"repro-opt: {label}: {exc}",
-                                      file=sys.stderr)
-                                return 2
-                            if not args.no_verify:
-                                verify_with_diagnostics(module, engine)
-                        if args.lint and not broken:
-                            run_lint(module,
-                                     am=_analysis_manager_of(manager),
-                                     engine=engine)
-                    expectation_problems.extend(
-                        f"{label}: {problem}" for problem in
-                        _match_expected(_collect_expected(text), captured))
-                    continue
-                rc, out = compile_one(label, text)
-                if rc and not batch:
-                    return rc
-                if out is None:
-                    # Batch isolation: a broken segment reports, leaves
-                    # a placeholder so output stays aligned with input
-                    # order, and does not abort the rest of the batch.
-                    printed.append(f"// {label}: FAILED\n")
-                    exit_code = max(exit_code, rc)
-                else:
-                    printed.append(out)
-    finally:
-        if manager is not None:
-            manager.close()
+                            verify_with_diagnostics(module, engine)
+                    if args.lint and not broken:
+                        run_lint(module,
+                                 am=_analysis_manager_of(manager),
+                                 engine=engine)
+                expectation_problems.extend(
+                    f"{label}: {problem}" for problem in
+                    _match_expected(_collect_expected(text), captured))
+                continue
+            rc, out = compile_one(label, text)
+            if rc and not batch:
+                return rc
+            if out is None:
+                # Batch isolation: a broken segment reports, leaves
+                # a placeholder so output stays aligned with input
+                # order, and does not abort the rest of the batch.
+                printed.append(f"// {label}: FAILED\n")
+                exit_code = max(exit_code, rc)
+            else:
+                printed.append(out)
 
     if lint_each is not None and engine is None:
         for pass_name, diagnostic in lint_each.findings:
@@ -594,9 +582,9 @@ def _main(argv: Optional[List[str]] = None) -> int:
     return max(exit_code, 1 if lint_findings else 0)
 
 
-def _run_batch_process(args, manager, segments, report,
-                       compile_one) -> Tuple[List[str], int]:
-    """Compile batch segments as whole-module units on the process tier.
+def _run_batch_process(args, manager, segments, report, compile_one,
+                       cache) -> Tuple[List[str], int]:
+    """Compile batch segments as whole-module units in worker processes.
 
     Workers parse, verify, compile and print; the parent stitches the
     printed text back in input order (no splice, no parent-side parse).
@@ -607,11 +595,15 @@ def _run_batch_process(args, manager, segments, report,
     ``compile_one`` in the parent, which reports the error with native
     semantics and yields the batch-isolation placeholder; supervised
     faults (crash/hang/corrupt/transient) are retried per the executor
-    policy.  Raises :class:`TierError` only when the tier as a whole
-    cannot make progress.
+    policy.  Workers read and write the disk tier of ``cache`` (the
+    process batch only builds a cache when one is configured), and
+    their cache counters fold into it.  Raises
+    :class:`TierError` only when the tier as a whole cannot make
+    progress.
     """
     spec = f"pipeline:{args.pipeline}" if args.pipeline \
         else dump_pass_pipeline(manager)
+    cache_dir = str(cache.disk.root) if cache is not None else None
     units: List[WorkUnit] = []
     first_uid: dict = {}
     alias: dict = {}
@@ -622,10 +614,10 @@ def _run_batch_process(args, manager, segments, report,
             continue
         first_uid[fingerprint] = uid
         units.append(WorkUnit(
-            uid=uid, label=label, kind="segment", text=text, spec=spec,
+            uid=uid, label=label, text=text, spec=spec,
             verify=not args.no_verify,
             print_locations=args.print_locations,
-            filename=label.split(" (segment")[0]))
+            filename=label.split(" (segment")[0], cache_dir=cache_dir))
 
     fallback_rcs: dict = {}
     fallback_texts: dict = {}
@@ -638,11 +630,14 @@ def _run_batch_process(args, manager, segments, report,
         return WorkResult(unit=unit, text=out, attempts=max(1, attempts),
                           degraded=True, events=events)
 
-    executor = manager.process_tier()
-    stats_before = dict(executor.stats)
-    events_before = len(executor.events)
-    results = executor.run_units(units, validate_segment_result,
-                                 serial_fallback)
+    executor = SupervisedExecutor(ExecutorOptions(
+        jobs=args.jobs, deadline=args.deadline))
+    try:
+        results = executor.run_units(units, serial_fallback)
+    finally:
+        # Terminates the workers, never waits on them: a hung worker or
+        # a Ctrl-C must not wedge or orphan the pool.
+        executor.close()
 
     printed: List[str] = []
     exit_code = 0
@@ -678,12 +673,12 @@ def _run_batch_process(args, manager, segments, report,
             report.timings[key] = report.timings.get(key, 0.0) + seconds
         for event in result.events:
             report.remark(f"process-tier: {event}")
-    for event in executor.events[events_before:]:
+        if cache is not None:
+            cache.add_stats(result.cache_stats)
+    for event in executor.events:
         report.remark(f"process-tier: {event}")
     for name, value in executor.stats.items():
-        delta = value - stats_before.get(name, 0)
-        if delta:
-            report.add_statistic("process-tier", name, delta)
+        report.add_statistic("process-tier", name, value)
     return printed, exit_code
 
 

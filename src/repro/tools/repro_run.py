@@ -88,9 +88,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--pipeline", default=None, choices=sorted(NAMED_PIPELINES),
         help="run a full compiler-model pipeline before executing")
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker threads for func.func-anchored pipelines (default 1)")
-    parser.add_argument(
         "--arg", action="append", default=[], metavar="NAME=VALUE",
         help="scalar argument value by name (repeatable); unnamed "
              "arguments are addressable as arg0, arg1, ...")
@@ -231,12 +228,8 @@ def _cost_report(counters, spec: DeviceSpec, kernel_launches: int) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point: :func:`_main` plus graceful Ctrl-C.
-
-    Interrupts unwind through ``_main``'s cleanup (worker pools are
-    terminated, never waited on) and exit with the conventional 130,
-    no traceback.
-    """
+    """CLI entry point: :func:`_main` plus graceful Ctrl-C (exit with
+    the conventional 130, no traceback)."""
     try:
         return _main(argv)
     except KeyboardInterrupt:
@@ -277,10 +270,9 @@ def _main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if args.pipeline:
-            manager = build_named_pipeline(args.pipeline, jobs=args.jobs)
+            manager = build_named_pipeline(args.pipeline)
         elif args.passes:
             manager = parse_pass_pipeline(args.passes)
-            manager.jobs = args.jobs
         else:
             manager = None
     except ValueError as exc:
@@ -296,10 +288,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
         if not args.no_verify:
             verify(module)
         if manager is not None:
-            try:
-                manager.run(module)
-            finally:
-                manager.close()
+            manager.run(module)
             if not args.no_verify:
                 verify(module)
     except VerificationError as exc:

@@ -3,8 +3,7 @@
 A :class:`CompileCache` memoizes pass-manager runs: the key is
 ``(textual fingerprint of the input, canonical pipeline spec)`` and
 the value is the optimized module *as text* — printed with ``loc(...)``
-trailers, the lossless transport the process tier and the disk tier
-already use — plus the statistics and remarks the run produced.  The
+trailers, the lossless transport the disk tier already uses — plus the statistics and remarks the run produced.  The
 textual fingerprint is a hash of the *printed* module: hits splice a
 printable result back in, so the key must capture exactly what
 determines output identity, including SSA name spellings (the
@@ -23,7 +22,7 @@ with the number of distinct modules it has compiled.
 
 The cache is thread-safe (one lock around the LRU table) and is designed
 to be *shared*: one cache serves every segment of a ``repro-opt``
-batch run and every worker of a ``jobs=N`` pool.
+batch run and every request thread of ``repro-served``.
 
 The in-memory table can sit on top of a persistent
 :class:`~repro.transforms.disk_cache.DiskCache` (``disk=``), forming a
@@ -194,6 +193,16 @@ class CompileCache:
         if entry.from_disk and self.disk is not None:
             self.disk.recover(key)
         return True
+
+    def add_stats(self, stats: Dict[str, Dict[str, int]]) -> None:
+        """Fold in a worker process's counters (``{"memory": {...},
+        "disk": {...}}``), so a batch compiled across worker processes
+        reports its cache like one compiled in-process."""
+        with self._lock:
+            for name, value in stats.get("memory", {}).items():
+                setattr(self.stats, name, getattr(self.stats, name) + value)
+        if self.disk is not None:
+            self.disk.add_stats(stats.get("disk", {}))
 
     def __len__(self) -> int:
         with self._lock:

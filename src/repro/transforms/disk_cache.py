@@ -13,8 +13,8 @@ daemon.  The design is a classic content-addressed store:
   A changed input or changed pipeline spec therefore *cannot* hit — it
   addresses a different file.
 * **Entries** — one JSON document per compile: the optimized module
-  printed **with ``loc`` trailers** (the same lossless textual transport
-  the process tier uses), the statistics and remarks the cold run
+  printed **with ``loc`` trailers** (the same lossless text the
+  in-memory tier holds), the statistics and remarks the cold run
   produced, the preserved-analysis names, and a fingerprint of the
   stored text so torn writes are detectable.
 * **Atomicity** — writes go to a same-directory temp file and land via
@@ -287,6 +287,13 @@ class DiskCache:
     def __len__(self) -> int:
         return sum(1 for _, _, path in self._entries_by_age()
                    if path.suffix == ".json")
+
+    def add_stats(self, counters: Dict[str, int]) -> None:
+        """Fold in the counters another process kept for this store (a
+        batch worker's view, so the parent's report covers the batch)."""
+        with self._lock:
+            for name, value in counters.items():
+                setattr(self.stats, name, getattr(self.stats, name) + value)
 
     def describe(self) -> Dict[str, int]:
         """JSON-able snapshot for ``--report`` and the daemon status."""

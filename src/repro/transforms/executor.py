@@ -1,24 +1,20 @@
-"""Supervised process-parallel execution tier.
+"""Supervised process-parallel batch compilation.
 
-The thread scheduler (PR 4) is deterministic but GIL-bound: BENCH_4/5
-record jobs=4 at 0.85x of serial.  This module escapes the GIL by
-shipping work units to ``ProcessPoolExecutor`` workers — and treats the
-executor as a first-class *failure domain* rather than a transparent
-speedup: workers can crash, hang, or return garbage, so every dispatch
-runs under a supervisor implementing the full failure matrix.
+``repro-opt --jobs N`` compiles the segments of a batch
+(``--split-input-file`` or several inputs) across ``N`` worker
+processes.  Each work unit is one whole segment as text plus a pipeline
+spec: the worker parses, verifies, compiles and prints the entire
+module, and the parent stitches the printed text back in input order.
+No IR crosses the process boundary and the parent parses nothing, so
+the parent's serial share stays small.  With a disk cache configured
+(``--cache-dir``) each worker reads and writes the shared
+:class:`~repro.transforms.disk_cache.DiskCache`, and its counters fold
+back into the parent's report.
 
-Work units are textual and lossless by construction:
-
-* **function units** — (per-function textual IR, ``dump_pass_pipeline``
-  spec), both round-trip guaranteed (PR 1 parser/printer, PR 3 pipeline
-  grammar).  Results are re-parsed, fingerprint-checked, and spliced
-  back in anchor order, preserving the byte-identical-vs-serial
-  contract.  Function IR travels *with* ``loc(...)`` trailers so source
-  locations survive the process boundary.
-* **segment units** — whole ``--split-input-file`` segments: the worker
-  parses, verifies, compiles and prints the entire module, the parent
-  stitches printed text back in input order.  No splice, no parent-side
-  parse — the ROADMAP's "easy first target" for real speedup.
+The executor is a first-class *failure domain* rather than a
+transparent speedup: workers can crash, hang, or return garbage, so
+every dispatch runs under a supervisor implementing the full failure
+matrix.
 
 Failure matrix (every class injectable via :mod:`repro.faults` and
 exercised by ``tests/test_fault_tolerance.py``):
@@ -30,8 +26,8 @@ crash        ``BrokenProcessPool`` → pool rebuild (bounded), every
              in-flight unit rescheduled with an attempt charged
 hang         per-unit deadline → pool restart, the overdue unit is
              charged an attempt, innocents reschedule free
-corrupt      parent-side fingerprint + re-parse check → treated as
-             a failed attempt (retry, then degrade)
+corrupt      parent-side fingerprint check → treated as a failed
+             attempt (retry, then degrade)
 transient    bounded retry with exponential backoff
 ===========  ====================================================
 
@@ -40,13 +36,13 @@ supplies the fallback), so a deterministic pass error reproduces with
 native in-process semantics and no fault class can ever fail a compile
 that serial would pass.  When the tier itself cannot make progress
 (pool rebuild budget exhausted, pool unbuildable) a :class:`TierError`
-is raised and the caller drops down the degradation ladder
-(process → thread → serial; see ``docs/robustness.md``).
+is raised and the caller degrades the whole batch to the in-process
+serial path (see ``docs/robustness.md``).
 
 Worker exceptions cross the process boundary as payload dicts (via
 :meth:`repro.ir.Diagnostic.to_payload`) carrying the failing pass name
-and pipeline position, so a cross-process error renders like an
-in-process one.
+and pipeline position (of uncached units), so a cross-process error
+renders like an in-process one.
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..faults import FaultPlan, TransientFault, active_fault_plan, fault_point
-from ..ir import Diagnostic, Operation, Severity
+from ..ir import Diagnostic, Severity
 from ..ir.location import location_of
 from .compile_cache import text_fingerprint
 
@@ -70,11 +66,11 @@ _POLL_SECONDS = 0.05
 
 
 class TierError(RuntimeError):
-    """The process tier cannot make progress; degrade to the next tier."""
+    """The process tier cannot make progress; degrade to serial."""
 
 
 class CorruptResult(RuntimeError):
-    """A worker result failed validation (fingerprint or re-parse)."""
+    """A worker result failed validation."""
 
 
 @dataclass
@@ -96,25 +92,24 @@ class ExecutorOptions:
 
 @dataclass
 class WorkUnit:
-    """One self-contained compile shipped to a worker."""
+    """One batch segment shipped to a worker."""
 
     uid: int
-    #: Stable label (function sym_name, or segment origin) used in
-    #: events, diagnostics and fault-plan keys.
+    #: Stable label (the segment origin) used in events, diagnostics and
+    #: fault-plan keys.
     label: str
-    #: ``"function"`` (splice mode) or ``"segment"`` (batch mode).
-    kind: str
-    #: Textual IR of the unit (function units carry ``loc`` trailers).
+    #: Textual IR of the segment.
     text: str
-    #: Pipeline spec (``func.func(...)`` for function units, a root
-    #: spec or ``pipeline:<name>`` for segment units).
+    #: Pipeline spec: a root spec or ``pipeline:<name>``.
     spec: str
-    #: Verify before/after the pipeline (segment units).
+    #: Verify before/after the pipeline.
     verify: bool = False
-    #: Print ``loc(...)`` trailers on the result (segment units).
+    #: Print ``loc(...)`` trailers on the result.
     print_locations: bool = False
     #: Source file the unit came from (diagnostics).
     filename: str = "<unit>"
+    #: Root of the shared on-disk compile cache, if any.
+    cache_dir: Optional[str] = None
 
 
 @dataclass
@@ -122,25 +117,23 @@ class WorkResult:
     """The supervised outcome of one unit."""
 
     unit: WorkUnit
-    #: Printed result text; ``None`` when the serial fallback already
-    #: applied the result in place.
+    #: Printed result text; ``None`` when the unit's serial fallback
+    #: failed to compile it.
     text: Optional[str]
     #: ``(pass_name, statistic, value)`` triples from the unit's run.
     statistics: List[Tuple[str, str, int]] = field(default_factory=list)
     remarks: List[str] = field(default_factory=list)
-    #: Position-keyed pass timings.  Keys are unit-local positions when
-    #: ``timing_keys_local`` (worker results); the caller shifts them to
-    #: global pipeline positions before merging.
+    #: Position-keyed pass timings.
     timings: Dict[str, float] = field(default_factory=dict)
-    timing_keys_local: bool = True
     #: Total attempts consumed (1 = first try succeeded).
     attempts: int = 1
     #: True when the unit fell back to an in-process serial run.
     degraded: bool = False
     #: Recovery events for this unit, in occurrence order.
     events: List[str] = field(default_factory=list)
-    #: Validator artifact (the re-parsed function op in splice mode).
-    payload: object = None
+    #: The worker's compile-cache counters (``{"memory": {...}, "disk":
+    #: {...}}``); empty when no disk cache was configured.
+    cache_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +170,6 @@ def _manager_for_spec(spec: str):
 
     if spec.startswith("pipeline:"):
         return build_named_pipeline(spec[len("pipeline:"):])
-    if not spec.startswith("builtin.module("):
-        spec = f"builtin.module({spec})"
     return parse_pass_pipeline(spec)
 
 
@@ -212,6 +203,8 @@ def _compile_work_unit(payload: dict) -> dict:
     from ..dialects import all_dialects  # noqa: F401 - registers ops
     from ..faults import install_fault_plan
     from ..ir import Printer, parse_module, verify
+    from .compile_cache import CompileCache
+    from .disk_cache import DiskCache
 
     if payload.get("fault_plan"):
         install_fault_plan(FaultPlan.parse(payload["fault_plan"]))
@@ -223,21 +216,28 @@ def _compile_work_unit(payload: dict) -> dict:
         fault_point("executor.worker", key=label, occurrence=attempt)
         op = parse_module(payload["text"], filename=payload["filename"])
         manager = _manager_for_spec(payload["spec"])
-        manager.add_instrumentation(tracker)
-        if payload["kind"] == "segment" and payload.get("verify"):
+        cache = None
+        if payload.get("cache_dir"):
+            cache = CompileCache(disk=DiskCache(payload["cache_dir"]))
+            manager.cache = cache
+        else:
+            # An instrumented run bypasses the cache (a hit would skip
+            # the hooks), so the tracker only rides on uncached units.
+            manager.add_instrumentation(tracker)
+        if payload.get("verify"):
             verify(op)
         report = manager.run(op)
-        if payload["kind"] == "segment" and payload.get("verify"):
+        if payload.get("verify"):
             verify(op)
-        if payload["kind"] == "function":
-            text = Printer(print_locations=True).print_module(op)
-        else:
-            text = Printer(
-                print_locations=payload.get("print_locations", False)
-            ).print_module(op) + "\n"
+        text = Printer(
+            print_locations=payload.get("print_locations", False)
+        ).print_module(op) + "\n"
         result = {"ok": True, "uid": payload["uid"], "text": text,
                   "fingerprint": text_fingerprint(text)}
         result.update(_report_fields(report))
+        if cache is not None:
+            result["cache_stats"] = {"memory": dict(vars(cache.stats)),
+                                     "disk": dict(vars(cache.disk.stats))}
         if fault_point("executor.worker.result", key=label,
                        occurrence=attempt) == "corrupt":
             result["text"] = ("// corrupted worker result\n"
@@ -255,47 +255,15 @@ def _compile_work_unit(payload: dict) -> dict:
 # Result validation (parent side)
 # ---------------------------------------------------------------------------
 
-def _check_fingerprint(unit: WorkUnit, outcome: dict) -> str:
+def validate_segment_result(unit: WorkUnit, outcome: dict) -> str:
+    """Fingerprint-check a segment unit's printed result text; raises
+    :class:`CorruptResult` on any discrepancy."""
     text = outcome.get("text")
     if not isinstance(text, str) or not text.strip():
         raise CorruptResult(f"unit '{unit.label}': empty worker result")
     if text_fingerprint(text) != outcome.get("fingerprint"):
         raise CorruptResult(
             f"unit '{unit.label}': result fingerprint mismatch")
-    return text
-
-
-def validate_function_result(unit: WorkUnit, outcome: dict) -> Operation:
-    """Re-parse and sanity-check a function unit's result.
-
-    Raises :class:`CorruptResult` on any discrepancy; returns the parsed
-    function op ready to splice.
-    """
-    from ..ir import ParseError, parse_module
-
-    text = _check_fingerprint(unit, outcome)
-    if fault_point("executor.splice", key=unit.label) == "corrupt":
-        text = "// corrupted at splice\n" + text[::-1]
-    try:
-        parsed = parse_module(text, filename=unit.filename)
-    except ParseError as exc:
-        raise CorruptResult(
-            f"unit '{unit.label}': result does not re-parse: {exc}")
-    if parsed.name != "func.func":
-        raise CorruptResult(
-            f"unit '{unit.label}': result is a '{parsed.name}', "
-            "expected 'func.func'")
-    sym = getattr(parsed, "sym_name", None)
-    if sym != unit.label:
-        raise CorruptResult(
-            f"unit '{unit.label}': result renames the function to "
-            f"'{sym}'")
-    return parsed
-
-
-def validate_segment_result(unit: WorkUnit, outcome: dict) -> str:
-    """Fingerprint-check a segment unit's printed result text."""
-    text = _check_fingerprint(unit, outcome)
     if fault_point("executor.splice", key=unit.label) == "corrupt":
         raise CorruptResult(
             f"unit '{unit.label}': injected corrupt segment result")
@@ -306,8 +274,6 @@ def validate_segment_result(unit: WorkUnit, outcome: dict) -> str:
 # Supervisor
 # ---------------------------------------------------------------------------
 
-#: ``validate(unit, outcome_dict) -> payload`` — raises CorruptResult.
-Validator = Callable[[WorkUnit, dict], object]
 #: ``serial_fallback(unit, attempts, events) -> WorkResult`` — runs the
 #: unit in-process with serial semantics (exceptions propagate: a
 #: deterministic compile error must fail the compile exactly as serial
@@ -365,10 +331,11 @@ class SupervisedExecutor:
     def _payload(self, unit: WorkUnit, attempt: int) -> dict:
         plan = active_fault_plan()
         return {
-            "uid": unit.uid, "label": unit.label, "kind": unit.kind,
+            "uid": unit.uid, "label": unit.label,
             "text": unit.text, "spec": unit.spec, "verify": unit.verify,
             "print_locations": unit.print_locations,
-            "filename": unit.filename, "attempt": attempt,
+            "filename": unit.filename, "cache_dir": unit.cache_dir,
+            "attempt": attempt,
             # The plan travels inside the payload so occurrence-indexed
             # worker rules keep firing deterministically even after a
             # crashed worker (whose counters died with it) is replaced.
@@ -376,7 +343,7 @@ class SupervisedExecutor:
         }
 
     # -- the supervision loop ----------------------------------------------
-    def run_units(self, units: List[WorkUnit], validate: Validator,
+    def run_units(self, units: List[WorkUnit],
                   serial_fallback: SerialFallback) -> Dict[int, WorkResult]:
         """Run every unit to a successful result; returns ``uid ->``
         :class:`WorkResult`.
@@ -482,9 +449,8 @@ class SupervisedExecutor:
                         f"({type(exc).__name__}); rescheduled")
                     ready.append((time.monotonic(), unit))
                     continue
-                self._handle_outcome(unit, outcome, validate, attempts,
-                                     unit_events, results, charge_attempt,
-                                     degrade_unit)
+                self._handle_outcome(unit, outcome, attempts, unit_events,
+                                     results, charge_attempt, degrade_unit)
             if pool_broken:
                 # Every other in-flight future is doomed too: charge the
                 # crash to all of them (the actual crasher must advance
@@ -524,7 +490,7 @@ class SupervisedExecutor:
         return results
 
     def _handle_outcome(self, unit: WorkUnit, outcome: dict,
-                        validate: Validator, attempts: Dict[int, int],
+                        attempts: Dict[int, int],
                         unit_events: Dict[int, List[str]],
                         results: Dict[int, WorkResult],
                         charge_attempt, degrade_unit) -> None:
@@ -533,7 +499,7 @@ class SupervisedExecutor:
             return
         if outcome.get("ok"):
             try:
-                payload = validate(unit, outcome)
+                text = validate_segment_result(unit, outcome)
             except CorruptResult as exc:
                 self._bump("corrupt_results")
                 charge_attempt(unit, f"corrupt result ({exc})")
@@ -545,13 +511,13 @@ class SupervisedExecutor:
                     f"unit '{unit.label}': recovered after "
                     f"{used - 1} failed attempt(s)")
             results[unit.uid] = WorkResult(
-                unit=unit, text=outcome["text"],
+                unit=unit, text=text,
                 statistics=[tuple(triple)
                             for triple in outcome.get("statistics", [])],
                 remarks=list(outcome.get("remarks", [])),
                 timings=dict(outcome.get("timings", {})),
                 attempts=used, events=unit_events[unit.uid],
-                payload=payload)
+                cache_stats=dict(outcome.get("cache_stats", {})))
             return
         diagnostic = self._render_worker_error(unit, outcome)
         if outcome.get("transient"):

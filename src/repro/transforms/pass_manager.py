@@ -8,8 +8,7 @@ Mirrors MLIR's pass infrastructure at the granularity this project needs:
   report;
 * a :class:`PassManager` is a tree of :class:`OpPassManager`\\ s —
   ``pm.nest("func.func").add(...)`` — where function-anchored pipelines run
-  once per isolated :class:`~repro.dialects.func.FuncOp` (the enabler for
-  per-function parallel scheduling);
+  once per isolated :class:`~repro.dialects.func.FuncOp`;
 * :class:`PassInstrumentation` hooks observe every pass execution; timing,
   IR printing and verification ship as the first three clients;
 * passes self-register with the :func:`register_pass` decorator, which
@@ -25,10 +24,7 @@ from __future__ import annotations
 import dataclasses
 import re
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -42,13 +38,8 @@ from typing import (
     Union,
 )
 
-from ..faults import TransientFault, fault_point
-from ..ir import Operation, Printer, Trait, has_trait
-from ..ir.concurrency import (
-    WriteGuard,
-    guarded_region,
-    unregistered_threading_allowed,
-)
+from ..faults import fault_point
+from ..ir import Operation, Printer
 from ..analysis.manager import (
     AnalysisManager,
     analysis_scope,
@@ -128,9 +119,9 @@ class CompileReport:
             self.add_statistic(stat.pass_name, stat.name, stat.value)
         self.remarks.extend(other.remarks)
         if not renumber_timings:
-            # ``other`` describes the *same* pipeline (e.g. a per-function
-            # worker report from the parallel scheduler): its position keys
-            # already match ours, so buckets must sum, not shift.
+            # ``other`` describes the *same* pipeline (e.g. the fresh
+            # report of a cache-missing run): its position keys already
+            # match ours, so buckets must sum, not shift.
             for key, value in other.timings.items():
                 self.timings[key] = self.timings.get(key, 0.0) + value
             return
@@ -672,26 +663,6 @@ class OpPassManager:
         return f"<OpPassManager {self.to_spec()}>"
 
 
-@dataclass
-class _RunState:
-    """Per-``run`` scheduling context threaded through pipeline execution."""
-
-    #: Serializes instrumentation hook batches across workers (the PR 3
-    #: ordering contract: before-hooks in registration order, after-hooks
-    #: reversed, never interleaved within one pass execution).
-    hook_lock: Optional[threading.Lock] = None
-    #: The shared worker pool; ``None`` disables parallel dispatch.
-    executor: Optional[ThreadPoolExecutor] = None
-    #: The root run's timing instrumentation (replaced by a per-worker
-    #: instance inside workers — its start/stop stack is not thread-safe).
-    timing: Optional[TimingInstrumentation] = None
-    #: True inside a worker thread: nested dispatch stays serial.
-    in_worker: bool = False
-    #: The run's root analysis manager; workers get children and fold
-    #: their stats/entries back in (:meth:`AnalysisManager.absorb`).
-    analysis_manager: Optional[AnalysisManager] = None
-
-
 class PassManager(OpPassManager):
     """The root pipeline: runs the pass tree and collects a report.
 
@@ -701,56 +672,27 @@ class PassManager(OpPassManager):
     timing is always recorded into ``report.timings`` keyed by pipeline
     position.
 
-    ``jobs=N`` enables the parallel scheduler: nested ``func.func``
-    pipelines run once per function *concurrently* across a shared
-    ``ThreadPoolExecutor`` (functions are isolated from above, so workers
-    cannot reach each other's IR; a :class:`~repro.ir.WriteGuard` enforces
-    that).  ``tier="process"`` upgrades that dispatch to the supervised
-    process tier (:mod:`repro.transforms.executor`): per-function textual
-    work units across a ``ProcessPoolExecutor``, with the full
-    crash/hang/corrupt/transient failure matrix supervised and a
-    graceful-degradation ladder process → thread → serial, so no fault
-    class can fail a compile that serial would pass (see
-    ``docs/robustness.md``).  ``cache`` attaches a
+    Passes run serially, in pipeline order, once per anchored op.
+    ``cache`` attaches a
     :class:`~repro.transforms.compile_cache.CompileCache`: a run whose
     ``(module fingerprint, pipeline spec)`` key is cached short-circuits
     the whole pipeline.
     """
 
-    #: Parallel dispatch tiers a run may use.
-    TIERS = ("thread", "process")
-
     def __init__(self, passes: Optional[Iterable[Pass]] = None,
                  verify_after_each: bool = False,
                  anchor: str = MODULE_ANCHOR,
-                 jobs: int = 1,
-                 cache: Optional["CompileCache"] = None,
-                 tier: str = "thread",
-                 executor_options=None):
+                 cache: Optional["CompileCache"] = None):
         super().__init__(anchor)
-        if tier not in self.TIERS:
-            raise ValueError(
-                f"unknown parallel tier {tier!r}; expected one of "
-                f"{', '.join(self.TIERS)}")
         for pass_ in passes or []:
             self.add(pass_)
         self.instrumentations: List[PassInstrumentation] = []
         self.verify_after_each = verify_after_each
-        self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.tier = tier
-        #: :class:`~repro.transforms.executor.ExecutorOptions` override
-        #: for the process tier (deadline, retry and rebuild budgets);
-        #: ``None`` uses defaults with ``jobs`` worker processes.
-        self.executor_options = executor_options
         #: Persistent across runs so batch drivers and benchmarks can
         #: observe warm-vs-cold analysis costs; fingerprint validation
         #: keeps stale entries from ever being served.
         self.analysis_manager = AnalysisManager()
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_jobs = 0
-        self._process_tier = None
-        self._process_tier_jobs = 0
         if verify_after_each:
             self.add_instrumentation(VerifierInstrumentation())
 
@@ -758,56 +700,6 @@ class PassManager(OpPassManager):
             self, instrumentation: PassInstrumentation) -> "PassManager":
         self.instrumentations.append(instrumentation)
         return self
-
-    def close(self) -> None:
-        """Shut down the shared worker pools (idempotent).
-
-        The process tier's workers are *terminated*, never waited on —
-        a hung worker must not be able to wedge shutdown (the Ctrl-C
-        path of every CLI runs through here).
-        """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._executor_jobs = 0
-        if self._process_tier is not None:
-            self._process_tier.close()
-            self._process_tier = None
-            self._process_tier_jobs = 0
-
-    def process_tier(self):
-        """The supervised process executor, created on first use (and
-        recreated when ``jobs`` changed)."""
-        from .executor import ExecutorOptions, SupervisedExecutor
-
-        if self._process_tier is None or self._process_tier_jobs != self.jobs:
-            if self._process_tier is not None:
-                self._process_tier.close()
-            options = self.executor_options
-            if options is None:
-                options = ExecutorOptions(jobs=self.jobs)
-            elif options.jobs != self.jobs:
-                options = dataclasses.replace(options, jobs=self.jobs)
-            self._process_tier = SupervisedExecutor(options)
-            self._process_tier_jobs = self.jobs
-        return self._process_tier
-
-    def _ensure_executor(self) -> Optional[ThreadPoolExecutor]:
-        """The shared pool for ``jobs>1``, recreated if ``jobs`` changed.
-
-        One pool serves every ``run`` of this manager — batch drivers
-        compile many modules through the same warm pool.
-        """
-        if self.jobs <= 1:
-            self.close()
-            return None
-        if self._executor is None or self._executor_jobs != self.jobs:
-            self.close()
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.jobs,
-                thread_name_prefix="repro-pass-worker")
-            self._executor_jobs = self.jobs
-        return self._executor
 
     # -- execution -----------------------------------------------------------
     def run(self, op: Operation,
@@ -884,16 +776,12 @@ class PassManager(OpPassManager):
         timing = TimingInstrumentation()
         instrumentations = list(self.instrumentations) + [timing]
         positions = self._slot_positions()
-        state = _RunState(hook_lock=threading.Lock(),
-                          executor=self._ensure_executor(),
-                          timing=timing,
-                          analysis_manager=self.analysis_manager)
         for instrumentation in instrumentations:
             instrumentation.run_before_pipeline(op)
         try:
             with analysis_scope(self.analysis_manager):
                 self._run_pipeline(self, op, report, instrumentations,
-                                   positions, state)
+                                   positions)
         finally:
             for key, value in timing.timings.items():
                 report.timings[key] = report.timings.get(key, 0.0) + value
@@ -942,53 +830,21 @@ class PassManager(OpPassManager):
     def _run_pipeline(self, pipeline: OpPassManager, op: Operation,
                       report: CompileReport,
                       instrumentations: List[PassInstrumentation],
-                      positions: Dict[Tuple[int, int], int],
-                      state: Optional[_RunState] = None) -> None:
+                      positions: Dict[Tuple[int, int], int]) -> None:
         for index, element in enumerate(pipeline.elements):
             if isinstance(element, OpPassManager):
-                anchored_ops = self._anchored_ops(op, element.anchor)
-                if self._should_parallelize(element, anchored_ops, state):
-                    # The graceful-degradation ladder: process tier →
-                    # thread tier → serial.  Each tier failure is
-                    # recorded as a remark and the next tier retried on
-                    # the untouched IR, so no tier-level fault can fail
-                    # a compile serial would pass.
-                    if self._process_eligible(state):
-                        from .executor import TierError
-
-                        try:
-                            self._run_pipeline_process(
-                                element, anchored_ops, report,
-                                positions, state)
-                            continue
-                        except TierError as error:
-                            report.remark("process-tier: degraded to "
-                                          f"thread tier: {error}")
-                            report.add_statistic(
-                                "process-tier", "degraded", 1)
-                    try:
-                        fault_point("thread-tier.dispatch")
-                        self._run_pipeline_parallel(
-                            element, anchored_ops, report,
-                            instrumentations, positions, state)
-                        continue
-                    except TransientFault as error:
-                        report.remark(
-                            f"thread-tier: degraded to serial: {error}")
-                        report.add_statistic(
-                            "thread-tier", "degraded", 1)
-                for anchored in anchored_ops:
+                for anchored in self._anchored_ops(op, element.anchor):
                     if anchored.parent is None and anchored is not op:
                         continue  # erased by an earlier sibling run
                     self._run_pipeline(element, anchored, report,
-                                       instrumentations, positions, state)
+                                       instrumentations, positions)
             else:
                 # (Re-)label the pass with this slot's position right
                 # before the hooks fire; a shared instance is thus always
                 # reported under the slot it is currently running in.
                 element.pipeline_position = \
                     positions[(id(pipeline), index)]
-                self._run_pass(element, op, report, instrumentations, state)
+                self._run_pass(element, op, report, instrumentations)
 
     @staticmethod
     def _anchored_ops(root: Operation, anchor: str) -> List[Operation]:
@@ -997,263 +853,12 @@ class PassManager(OpPassManager):
         return [op for op in root.walk(include_self=False)
                 if op.name == anchor]
 
-    def _should_parallelize(self, pipeline: OpPassManager,
-                            anchored_ops: List[Operation],
-                            state: Optional[_RunState]) -> bool:
-        """Whether this nested pipeline dispatch may fan out to the pool.
-
-        Requires: an active pool, not already inside a worker, at least
-        two anchors, every anchor isolated from above (so workers cannot
-        reach each other's IR through SSA uses), and a distinct pass
-        instance per slot (a shared instance would race on its
-        ``pipeline_position`` label).
-        """
-        if state is None or state.executor is None or state.in_worker:
-            return False
-        if pipeline.anchor != FUNCTION_ANCHOR or len(anchored_ops) < 2:
-            return False
-        if not all(has_trait(anchored, Trait.ISOLATED_FROM_ABOVE)
-                   for anchored in anchored_ops):
-            return False
-        passes = pipeline.passes
-        return len({id(pass_) for pass_ in passes}) == len(passes)
-
-    def _process_eligible(self, state: Optional[_RunState]) -> bool:
-        """Whether a parallelizable dispatch may use the process tier.
-
-        Requires ``tier="process"`` and no user instrumentations —
-        hooks observe in-process pass executions and cannot see into a
-        worker process, so ``--verify-each`` / ``--print-ir-*`` runs
-        stay on the thread tier (workers verify their own units
-        instead).
-        """
-        return (self.tier == "process"
-                and state is not None and not state.in_worker
-                and not self.instrumentations)
-
-    @staticmethod
-    def _subtree_slots(pipeline: OpPassManager) -> List[Tuple[int, int]]:
-        """Every pass slot key under ``pipeline`` (see
-        :meth:`_slot_positions`)."""
-        slots: List[Tuple[int, int]] = []
-
-        def visit(nested: OpPassManager) -> None:
-            for index, element in enumerate(nested.elements):
-                if isinstance(element, OpPassManager):
-                    visit(element)
-                else:
-                    slots.append((id(nested), index))
-
-        visit(pipeline)
-        return slots
-
-    def _run_pipeline_process(self, pipeline: OpPassManager,
-                              anchored_ops: List[Operation],
-                              report: CompileReport,
-                              positions: Dict[Tuple[int, int], int],
-                              state: _RunState) -> None:
-        """Run ``pipeline`` once per function across worker *processes*.
-
-        Work units are (per-function textual IR with ``loc`` trailers,
-        the pipeline's canonical spec) — both lossless — and validated
-        results are spliced back in anchor order, so output, statistics
-        totals and timing keys are byte-identical to a serial run.
-        Supervision (crash/hang/corrupt/transient) lives in
-        :class:`~repro.transforms.executor.SupervisedExecutor`; units
-        whose retries are exhausted fall back to an in-process serial
-        run, and tier-level failures raise
-        :class:`~repro.transforms.executor.TierError` for the caller's
-        degradation ladder.
-        """
-        from ..ir import Printer
-        from ..ir.location import location_of
-        from .executor import TierError, WorkResult, WorkUnit, \
-            validate_function_result
-        from .pipelines import parse_pass_pipeline
-
-        spec = pipeline.to_spec()
-        root_spec = f"builtin.module({spec})"
-        try:
-            if parse_pass_pipeline(root_spec).to_spec() != root_spec:
-                raise TierError(
-                    "pipeline spec does not round-trip losslessly")
-        except ValueError as exc:
-            raise TierError(f"pipeline spec does not round-trip: {exc}")
-        slots = self._subtree_slots(pipeline)
-        if not slots:
-            return
-        base = min(positions[slot] for slot in slots)
-
-        live = [anchored for anchored in anchored_ops
-                if anchored.parent is not None]
-        printer = Printer(print_locations=True)
-        units = [
-            WorkUnit(uid=index, label=function.sym_name or f"func{index}",
-                     kind="function", text=printer.print_module(function),
-                     spec=spec,
-                     filename=location_of(function).filename or "<module>")
-            for index, function in enumerate(live)
-        ]
-
-        def serial_fallback(unit: WorkUnit, attempts: int,
-                            events: List[str]) -> WorkResult:
-            # Exactly the serial path, in-process and in place: a
-            # deterministic pass error reproduces with native semantics
-            # (it raises out of here), and a successful run needs no
-            # splice.
-            anchored = live[unit.uid]
-            local_report = CompileReport()
-            local_timing = TimingInstrumentation()
-            serial_state = dataclasses.replace(state, in_worker=True)
-            with analysis_scope(state.analysis_manager):
-                self._run_pipeline(pipeline, anchored, local_report,
-                                   [local_timing], positions, serial_state)
-            local_report.merge(
-                CompileReport(timings=dict(local_timing.timings)),
-                renumber_timings=False)
-            return WorkResult(
-                unit=unit, text=None,
-                statistics=[(s.pass_name, s.name, s.value)
-                            for s in local_report.statistics],
-                remarks=list(local_report.remarks),
-                timings=dict(local_report.timings),
-                timing_keys_local=False, attempts=attempts + 1,
-                degraded=True, events=events)
-
-        executor = self.process_tier()
-        stats_before = dict(executor.stats)
-        events_before = len(executor.events)
-        results = executor.run_units(units, validate_function_result,
-                                     serial_fallback)
-
-        # Splice validated results back, preserving anchor order; units
-        # the serial fallback completed are already in place.
-        for unit in units:
-            result = results[unit.uid]
-            if result.text is None:
-                continue
-            old = live[unit.uid]
-            old.parent.insert_before(old, result.payload)
-            old.erase()
-        # Workers mutated (replaced) every function: conservatively
-        # invalidate analyses from the run root down.
-        if state.analysis_manager is not None and live:
-            root = live[0]
-            while root.parent_op() is not None:
-                root = root.parent_op()
-            state.analysis_manager.invalidate(root, ())
-
-        # Merge in anchor order — statistics totals, remark order and
-        # (base-shifted) timing keys come out identical to serial.
-        for unit in units:
-            result = results[unit.uid]
-            for pass_name, name, value in result.statistics:
-                report.add_statistic(pass_name, name, value)
-            report.remarks.extend(result.remarks)
-            for key, value in result.timings.items():
-                if result.timing_keys_local:
-                    match = _TIMING_POSITION_RE.match(key)
-                    if match:
-                        key = f"{int(match.group(1)) + base}: " \
-                              f"{match.group(2)}"
-                report.timings[key] = report.timings.get(key, 0.0) + value
-            for event in result.events:
-                report.remark(f"process-tier: {event}")
-        for event in executor.events[events_before:]:
-            report.remark(f"process-tier: {event}")
-        report.add_statistic("process-tier", "units", len(units))
-        for name in sorted(set(stats_before) | set(executor.stats)):
-            delta = executor.stats.get(name, 0) - stats_before.get(name, 0)
-            if delta:
-                report.add_statistic("process-tier", name, delta)
-
-    def _run_pipeline_parallel(self, pipeline: OpPassManager,
-                               anchored_ops: List[Operation],
-                               report: CompileReport,
-                               instrumentations: List[PassInstrumentation],
-                               positions: Dict[Tuple[int, int], int],
-                               state: _RunState) -> None:
-        """Run ``pipeline`` once per anchored function, across the pool.
-
-        Each worker compiles one function into a private
-        :class:`CompileReport` with a private timing instrumentation (the
-        shared one's start/stop stack is not thread-safe); user hooks are
-        shared but serialized through ``state.hook_lock``.  Worker reports
-        merge into ``report`` in anchor order, so statistics totals, list
-        order and timing keys are identical to a serial run.
-        """
-        guard = None if unregistered_threading_allowed() else WriteGuard()
-        if guard is not None:
-            # Protect the attached run root (the module): shared IR under
-            # it is read-only for workers, while detached subtrees (clones,
-            # builder fragments) remain freely mutable.
-            root = anchored_ops[0]
-            while root.parent_op() is not None:
-                root = root.parent_op()
-            guard.protect(root)
-        shared_hooks = [instr for instr in instrumentations
-                        if instr is not state.timing]
-
-        def compile_function(anchored: Operation) -> CompileReport:
-            if guard is not None:
-                guard.claim(anchored)
-            try:
-                local_report = CompileReport()
-                local_timing = TimingInstrumentation()
-                # A fresh per-worker manager: workers mutate disjoint
-                # functions, so entries cannot be shared while in flight;
-                # stats and surviving entries fold back in afterwards.
-                parent_manager = state.analysis_manager
-                worker_manager = parent_manager.child() \
-                    if parent_manager is not None else None
-                worker_state = dataclasses.replace(
-                    state, in_worker=True, analysis_manager=worker_manager)
-                with analysis_scope(worker_manager):
-                    self._run_pipeline(pipeline, anchored, local_report,
-                                       shared_hooks + [local_timing],
-                                       positions, worker_state)
-                if parent_manager is not None:
-                    parent_manager.absorb(worker_manager)
-                local_report.merge(
-                    CompileReport(timings=dict(local_timing.timings)),
-                    renumber_timings=False)
-                return local_report
-            finally:
-                if guard is not None:
-                    guard.release(anchored)
-
-        with guarded_region(guard):
-            futures = [state.executor.submit(compile_function, anchored)
-                       for anchored in anchored_ops
-                       if anchored.parent is not None]
-            local_reports: List[Optional[CompileReport]] = []
-            first_error: Optional[BaseException] = None
-            for future in futures:
-                try:
-                    local_reports.append(future.result())
-                except BaseException as error:  # noqa: BLE001 - re-raised
-                    local_reports.append(None)
-                    if first_error is None:
-                        first_error = error
-            if first_error is not None:
-                raise first_error
-        for local_report in local_reports:
-            if local_report is not None:
-                report.merge(local_report, renumber_timings=False)
-
     def _run_pass(self, pass_: Pass, op: Operation, report: CompileReport,
-                  instrumentations: List[PassInstrumentation],
-                  state: Optional[_RunState] = None) -> None:
+                  instrumentations: List[PassInstrumentation]) -> None:
         from ..ir import VerificationError
 
-        # Hook batches are serialized across workers; the pass body itself
-        # runs outside the lock — that is where the parallelism is.
-        hook_lock = (state.hook_lock
-                     if state is not None and state.in_worker
-                     and state.hook_lock is not None else nullcontext())
-        with hook_lock:
-            for instrumentation in instrumentations:
-                instrumentation.run_before_pass(pass_, op)
+        for instrumentation in instrumentations:
+            instrumentation.run_before_pass(pass_, op)
         pass_.run(op, report)
         # The pass may have mutated the anchor (and anything below it):
         # evict stale analyses unless the pass declared them preserved.
@@ -1261,13 +866,11 @@ class PassManager(OpPassManager):
         if manager is not None:
             manager.invalidate(op, pass_.preserves())
         try:
-            with hook_lock:
-                for instrumentation in reversed(instrumentations):
-                    instrumentation.run_after_pass(pass_, op)
+            for instrumentation in reversed(instrumentations):
+                instrumentation.run_after_pass(pass_, op)
         except VerificationError as error:
-            with hook_lock:
-                for instrumentation in instrumentations:
-                    instrumentation.run_after_failed_verify(pass_, op, error)
+            for instrumentation in instrumentations:
+                instrumentation.run_after_failed_verify(pass_, op, error)
             raise
 
     def __repr__(self) -> str:

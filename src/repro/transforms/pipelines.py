@@ -99,12 +99,12 @@ def _nest_function_passes(pm: PassManager, passes: List[Pass]) -> None:
         nested.add(pass_)
 
 
-def sycl_mlir_pipeline(options: Optional[OptimizationOptions] = None,
-                       jobs: int = 1) -> PassManager:
+def sycl_mlir_pipeline(
+        options: Optional[OptimizationOptions] = None) -> PassManager:
     """The SYCL-MLIR optimization pipeline (host + device, Sections V-VII)."""
     options = options or OptimizationOptions()
     alias = SYCLAliasAnalysis()
-    pm = PassManager(jobs=jobs)
+    pm = PassManager()
     if options.canonicalize:
         _nest_function_passes(pm, [CanonicalizePass(), CSEPass()])
     if options.host_raising:
@@ -126,8 +126,8 @@ def sycl_mlir_pipeline(options: Optional[OptimizationOptions] = None,
     return pm
 
 
-def dpcpp_pipeline(options: Optional[OptimizationOptions] = None,
-                   jobs: int = 1) -> PassManager:
+def dpcpp_pipeline(
+        options: Optional[OptimizationOptions] = None) -> PassManager:
     """The DPC++ baseline: premature lowering + generic optimizations.
 
     The generic optimizations use the dialect-independent alias analysis, so
@@ -149,14 +149,14 @@ def dpcpp_pipeline(options: Optional[OptimizationOptions] = None,
     if options.detect_reduction:
         passes.append(DetectReduction(alias_analysis=alias))
     passes.extend([CanonicalizePass(), CSEPass(), DCEPass()])
-    pm = PassManager(jobs=jobs)
+    pm = PassManager()
     _nest_function_passes(pm, passes)
     return pm
 
 
-def adaptivecpp_aot_pipeline(jobs: int = 1) -> PassManager:
+def adaptivecpp_aot_pipeline() -> PassManager:
     """AdaptiveCpp ahead-of-time part: lowering + light cleanup only."""
-    pm = PassManager(jobs=jobs)
+    pm = PassManager()
     _nest_function_passes(pm, [
         CanonicalizePass(),
         CSEPass(),
@@ -167,7 +167,7 @@ def adaptivecpp_aot_pipeline(jobs: int = 1) -> PassManager:
     return pm
 
 
-def adaptivecpp_jit_pipeline(jobs: int = 1) -> PassManager:
+def adaptivecpp_jit_pipeline() -> PassManager:
     """AdaptiveCpp launch-time (JIT) optimizations after specialization.
 
     The runtime-checked alias analysis trusts the disjointness facts the JIT
@@ -176,7 +176,7 @@ def adaptivecpp_jit_pipeline(jobs: int = 1) -> PassManager:
     by the compiler driver).
     """
     alias = RuntimeCheckedAliasAnalysis()
-    pm = PassManager(jobs=jobs)
+    pm = PassManager()
     _nest_function_passes(pm, [
         CanonicalizePass(),
         CSEPass(),
@@ -189,7 +189,7 @@ def adaptivecpp_jit_pipeline(jobs: int = 1) -> PassManager:
     return pm
 
 
-def lower_to_llvm_pipeline(jobs: int = 1) -> PassManager:
+def lower_to_llvm_pipeline() -> PassManager:
     """Progressive lowering to an LLVM-dialect CFG.
 
     Accessor subscripts become plain memref accesses, affine constructs
@@ -207,7 +207,7 @@ def lower_to_llvm_pipeline(jobs: int = 1) -> PassManager:
         LowerAffine,
     )
 
-    pm = PassManager(jobs=jobs)
+    pm = PassManager()
     _nest_function_passes(pm, [
         LowerAccessorSubscripts(),
         LowerAffine(),
@@ -550,7 +550,7 @@ def check_pass_pipeline(spec: str, filename: str = "<pipeline>"):
     from ..ir import Diagnostic, Location, Severity, UNKNOWN
 
     try:
-        _PipelineParser(spec).parse().close()
+        _PipelineParser(spec).parse()
     except PipelineParseError as exc:
         location = Location(filename, 1, exc.offset + 1) \
             if exc.offset is not None else UNKNOWN
@@ -573,15 +573,14 @@ def dump_pass_pipeline(pipeline: OpPassManager) -> str:
     return pipeline.to_spec()
 
 
-def _options_free(name: str, builder: Callable[[int], PassManager]):
+def _options_free(name: str, factory: Callable[[], PassManager]):
     """Wrap a pipeline that takes no options; reject options explicitly."""
 
-    def build(options: Optional[OptimizationOptions] = None,
-              jobs: int = 1) -> PassManager:
+    def build(options: Optional[OptimizationOptions] = None) -> PassManager:
         if options is not None:
             raise ValueError(
                 f"pipeline {name!r} does not accept optimization options")
-        return builder(jobs)
+        return factory()
 
     return build
 
@@ -590,12 +589,11 @@ def _options_free(name: str, builder: Callable[[int], PassManager]):
 NAMED_PIPELINES: Dict[str, Callable[..., PassManager]] = {
     "sycl-mlir": sycl_mlir_pipeline,
     "dpcpp": dpcpp_pipeline,
-    "adaptivecpp-aot": _options_free(
-        "adaptivecpp-aot", lambda jobs: adaptivecpp_aot_pipeline(jobs=jobs)),
-    "adaptivecpp-jit": _options_free(
-        "adaptivecpp-jit", lambda jobs: adaptivecpp_jit_pipeline(jobs=jobs)),
-    "lower-to-llvm": _options_free(
-        "lower-to-llvm", lambda jobs: lower_to_llvm_pipeline(jobs=jobs)),
+    "adaptivecpp-aot": _options_free("adaptivecpp-aot",
+                                     adaptivecpp_aot_pipeline),
+    "adaptivecpp-jit": _options_free("adaptivecpp-jit",
+                                     adaptivecpp_jit_pipeline),
+    "lower-to-llvm": _options_free("lower-to-llvm", lower_to_llvm_pipeline),
 }
 
 
@@ -612,16 +610,11 @@ def shipped_pipeline_names() -> List[str]:
 
 def build_named_pipeline(
         name: str,
-        options: Optional[OptimizationOptions] = None,
-        jobs: int = 1) -> PassManager:
-    """Instantiate one of the paper's three compiler-model pipelines.
-
-    ``jobs`` sizes the per-function parallel scheduler of the returned
-    :class:`PassManager` (1 = serial).
-    """
-    builder = NAMED_PIPELINES.get(name)
-    if builder is None:
+        options: Optional[OptimizationOptions] = None) -> PassManager:
+    """Instantiate one of the paper's three compiler-model pipelines."""
+    factory = NAMED_PIPELINES.get(name)
+    if factory is None:
         raise ValueError(
             f"unknown pipeline {name!r}; available pipelines: "
             f"{', '.join(sorted(NAMED_PIPELINES))}")
-    return builder(options, jobs=jobs)
+    return factory(options)

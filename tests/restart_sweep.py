@@ -1,25 +1,18 @@
-"""Pre-worklist driver strategies, preserved for benchmarking and testing.
+"""The pre-worklist restart-sweep rewrite loops: the fixed-point oracle.
 
-These are faithful ports of the drivers this repository used before the
-worklist rewrite engine landed:
+Faithful ports of the rewrite loops this repository used before the
+worklist rewrite engine landed, kept as an independent oracle (the
+worklist tests require the worklist engine to reach the same printed
+IR):
 
 * :func:`apply_patterns_restart_sweep` — the old greedy driver: re-walk the
   whole module under the root after every sweep that made a change;
 * :func:`erase_dead_ops_sweep` — the old DCE: full re-walks until a walk
-  erases nothing, which erases exactly one op per walk from the tail of a
-  dead def-use chain;
+  erases nothing;
 * :class:`LegacyCanonicalizePass` — the old canonicalization loop (bounded
   restart sweeps of fold/simplify + sweep DCE).
 
-They run on the current IR data structures, so benchmark deltas against
-them isolate the *driver strategy* (worklist + O(changes) re-enqueueing
-versus restart sweeps); the absolute pre-refactor numbers, which also
-include the old O(n) list-backed mutation costs, are recorded in
-``BENCH_2.json`` under the top-level ``baseline`` key.
-
-The fixed-point equivalence tests (``tests/test_worklist_driver.py``)
-also use these to check that the worklist driver reaches the same printed
-IR as the restart-sweep strategy.
+Their speed against the worklist engine is recorded in ``BENCH_2.json``.
 """
 
 from __future__ import annotations
@@ -34,8 +27,7 @@ from repro.transforms.canonicalize import (
     _simplify_identities,
     fold_operation,
 )
-from repro.transforms.cse import CSEPass
-from repro.transforms.pass_manager import CompileReport, FunctionPass, PassManager
+from repro.transforms.pass_manager import CompileReport, FunctionPass
 from repro.transforms.rewrite import (
     MAX_PATTERN_ITERATIONS,
     NonConvergenceWarning,
@@ -147,19 +139,3 @@ class LegacyCanonicalizePass(FunctionPass):
                 changed = True
             if not changed:
                 break
-
-
-class LegacyDCEPass(FunctionPass):
-    """Standalone sweep-based dead-code elimination."""
-
-    NAME = "dce-legacy"
-
-    def run_on_function(self, function: FuncOp, report: CompileReport) -> None:
-        erased = erase_dead_ops_sweep(function)
-        if erased:
-            report.add_statistic(self.NAME, "dead_ops_erased", erased)
-
-
-def run_legacy_canonicalize_cse(module: Operation) -> CompileReport:
-    """Legacy canonicalize + CSE, the benchmark's comparison pipeline."""
-    return PassManager([LegacyCanonicalizePass(), CSEPass()]).run(module)

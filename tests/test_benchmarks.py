@@ -38,7 +38,7 @@ class TestGenerator:
 class TestRunner:
     def test_bench_config_record_shape(self):
         record = bench_config(GeneratorConfig(num_ops=80, num_kernels=1),
-                              repeats=1, compare_legacy=True, check=True)
+                              repeats=1, check=True)
         assert record["num_ops"] > 0
         for phase in ("print", "parse", "canonicalize", "cse",
                       "canonicalize+cse", "pipeline:adaptivecpp-aot"):
@@ -47,7 +47,6 @@ class TestRunner:
         # so duplicate passes stay distinguishable.
         assert any(key.endswith("canonicalize")
                    for key in record["pass_timings_s"])
-        assert record["legacy_timings_s"]["canonicalize+cse"] >= 0.0
 
     def test_smoke_run_emits_json(self, tmp_path):
         out = tmp_path / "bench.json"
@@ -56,26 +55,11 @@ class TestRunner:
         assert payload["schema"] == "repro-bench/1"
         assert payload["records"][0]["num_ops"] > 0
 
-    def test_parallel_speedups_keyed_against_first_job_count(self, tmp_path):
-        # Regression: a custom --jobs-list not starting at 1 must not
-        # record a serial-vs-itself ratio.
-        out = tmp_path / "bench.json"
-        assert runner_main(["--smoke", "--concurrency",
-                            "--jobs-list", "2,4", "--functions", "4",
-                            "--out", str(out)]) == 0
-        parallel = json.loads(out.read_text())["concurrency"]["parallel"]
-        assert set(parallel["speedup_vs_serial"]) == {"4"}
-
     def test_concurrency_suite_shape(self, tmp_path):
         out = tmp_path / "bench.json"
-        assert runner_main(["--smoke", "--concurrency",
-                            "--jobs-list", "1,2", "--functions", "4",
+        assert runner_main(["--smoke", "--concurrency", "--functions", "4",
                             "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        parallel = payload["concurrency"]["parallel"]
-        assert parallel["num_functions"] >= 4
-        assert set(parallel["jobs_timings_s"]) == {"1", "2"}
-        assert "2" in parallel["speedup_vs_serial"]
         cache = payload["concurrency"]["cache"]
         assert cache["cold_s"] > 0 and cache["warm_s"] > 0
         assert cache["cache"]["hits"] >= 1
@@ -90,8 +74,6 @@ class TestCompareGate:
                               "parse": 0.2 * scale},
             }],
             "concurrency": {
-                "parallel": {"jobs_timings_s": {"1": 0.4 * scale,
-                                                "4": 0.3 * scale}},
                 "cache": {"cold_s": 0.5 * scale, "warm_s": 0.05 * scale},
             },
         }
@@ -100,7 +82,6 @@ class TestCompareGate:
         scenarios = bench_compare.flatten_scenarios(self._payload())
         assert set(scenarios) == {
             "500ops/canonicalize+cse", "500ops/parse",
-            "parallel/jobs=1", "parallel/jobs=4",
             "cache/cold", "cache/warm",
         }
 

@@ -1,41 +1,26 @@
-"""Determinism and safety of the parallel scheduler and the compile cache.
+"""The compile cache and ``repro-opt`` batch mode.
 
 The contract under test (see ``docs/concurrency.md``):
 
-* compiling with ``jobs=1`` and ``jobs=4`` produces byte-identical
-  printed IR, identical statistics totals (and list order) and the same
-  position-keyed timing buckets;
 * a cache hit splices IR structurally equal to a cold compile and
   replays the cold run's statistics;
-* a function pipeline that mutates IR outside its own anchored function
-  raises :class:`ConcurrentWriteError` under ``jobs>1`` instead of
-  silently corrupting use lists / order indexes, and
-  ``Context.allow_unregistered_threading`` opts out of the guard.
+* a ``--jobs N`` process batch shares the ``--cache-dir`` disk cache
+  with its workers: a repeated run hits, byte-identical to the first
+  run and to the serial batch;
+* instrumented runs bypass the cache.
 """
 
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.generate import GeneratorConfig, generate_module  # noqa: E402
-from repro.dialects import arith  # noqa: E402
-from repro.dialects.func import FuncOp  # noqa: E402
-from repro.ir import (  # noqa: E402
-    ConcurrentWriteError,
-    Context,
-    Printer,
-    i64,
-    verify,
-)
+from repro.ir import Printer, verify  # noqa: E402
+from repro.tools.repro_opt import main as repro_opt  # noqa: E402
 from repro.transforms import (  # noqa: E402
     CompileCache,
     CompileReport,
-    FunctionPass,
-    PassManager,
-    build_named_pipeline,
     parse_pass_pipeline,
 )
 
@@ -62,61 +47,10 @@ def _synthetic_module():
                                            seed=11))
 
 
-def _run(module, jobs, cache=None):
+def _run(module, cache=None):
     manager = parse_pass_pipeline(PIPELINE)
-    manager.jobs = jobs
     manager.cache = cache
-    try:
-        report = manager.run(module)
-    finally:
-        manager.close()
-    return report
-
-
-class TestParallelDeterminism:
-    @pytest.mark.parametrize("build_module",
-                             [_listing_module, _synthetic_module])
-    def test_jobs4_output_byte_identical_to_serial(self, build_module):
-        serial, parallel = build_module(), build_module()
-        _run(serial, jobs=1)
-        _run(parallel, jobs=4)
-        assert Printer().print_module(serial) == \
-            Printer().print_module(parallel)
-        verify(parallel)
-
-    def test_statistics_totals_and_order_identical(self):
-        serial_report = _run(_synthetic_module(), jobs=1)
-        parallel_report = _run(_synthetic_module(), jobs=4)
-        assert [(s.pass_name, s.name, s.value)
-                for s in serial_report.statistics] == \
-            [(s.pass_name, s.name, s.value)
-             for s in parallel_report.statistics]
-
-    def test_timing_keys_stable_across_job_counts(self):
-        serial_report = _run(_synthetic_module(), jobs=1)
-        parallel_report = _run(_synthetic_module(), jobs=4)
-        assert set(serial_report.timings) == set(parallel_report.timings)
-        # Position-keyed: one bucket per scheduled slot, "N: name".
-        assert all(": " in key for key in parallel_report.timings)
-
-    def test_named_pipeline_parallel_matches_serial(self):
-        serial, parallel = _synthetic_module(), _synthetic_module()
-        build_named_pipeline("dpcpp").run(serial)
-        manager = build_named_pipeline("dpcpp", jobs=4)
-        try:
-            manager.run(parallel)
-        finally:
-            manager.close()
-        assert Printer().print_module(serial) == \
-            Printer().print_module(parallel)
-
-    def test_single_function_module_stays_serial(self):
-        module = wrap_in_module(build_listing1_function()[0])
-        reference = wrap_in_module(build_listing1_function()[0])
-        _run(reference, jobs=1)
-        _run(module, jobs=4)
-        assert Printer().print_module(module) == \
-            Printer().print_module(reference)
+    return manager.run(module)
 
 
 class TestCompileCache:
@@ -124,9 +58,9 @@ class TestCompileCache:
         cache = CompileCache()
         cold, warm, reference = (_synthetic_module(), _synthetic_module(),
                                  _synthetic_module())
-        _run(reference, jobs=1)
-        _run(cold, jobs=1, cache=cache)
-        _run(warm, jobs=1, cache=cache)
+        _run(reference)
+        _run(cold, cache=cache)
+        _run(warm, cache=cache)
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
         assert Printer().print_module(warm) == \
@@ -137,8 +71,8 @@ class TestCompileCache:
 
     def test_hit_replays_cold_statistics(self):
         cache = CompileCache()
-        cold_report = _run(_synthetic_module(), jobs=1, cache=cache)
-        warm_report = _run(_synthetic_module(), jobs=1, cache=cache)
+        cold_report = _run(_synthetic_module(), cache=cache)
+        warm_report = _run(_synthetic_module(), cache=cache)
         cold = {(s.pass_name, s.name): s.value
                 for s in cold_report.statistics
                 if s.pass_name != "compile-cache"}
@@ -151,8 +85,8 @@ class TestCompileCache:
 
     def test_hit_records_its_own_timing_bucket(self):
         cache = CompileCache()
-        _run(_synthetic_module(), jobs=1, cache=cache)
-        warm_report = _run(_synthetic_module(), jobs=1, cache=cache)
+        _run(_synthetic_module(), cache=cache)
+        warm_report = _run(_synthetic_module(), cache=cache)
         # Statistics replay the cold compile; the timing table accounts
         # for the warm segment through the dedicated hit bucket.
         assert "compile-cache: hit" in warm_report.timings
@@ -178,126 +112,34 @@ class TestCompileCache:
         assert len(cache) == 1
         assert cache.stats.evictions == 1
 
-    def test_parallel_and_cached_runs_compose(self):
-        cache = CompileCache()
-        cold, warm, reference = (_synthetic_module(), _synthetic_module(),
-                                 _synthetic_module())
-        _run(reference, jobs=1)
-        _run(cold, jobs=4, cache=cache)
-        _run(warm, jobs=4, cache=cache)
-        assert cache.stats.hits == 1
-        assert Printer().print_module(warm) == \
-            Printer().print_module(reference)
+    def test_parallel_and_cached_runs_compose(self, tmp_path, capsys):
+        # A --jobs N batch hands --cache-dir to its workers: the second
+        # run hits the disk tier, and every run prints the serial bytes.
+        batch = tmp_path / "batch.mlir"
+        batch.write_text("// -----\n".join(
+            Printer().print_module(wrap_in_module(build()[0])) + "\n"
+            for build in (build_listing1_function, build_listing2_function,
+                          build_listing3_function)), encoding="utf-8")
+        cache_dir = tmp_path / "cache"
 
+        def compile_batch(name, *extra):
+            out = tmp_path / name
+            rc = repro_opt([str(batch), "--split-input-file",
+                            "--passes", "canonicalize,cse", "--report",
+                            "-o", str(out), *extra])
+            assert rc == 0
+            return out.read_text(encoding="utf-8"), capsys.readouterr().err
 
-class _SiblingMutatingPass(FunctionPass):
-    """Deliberately broken: mutates a *sibling* function's body."""
-
-    NAME = "mutate-sibling"
-
-    def run_on_function(self, function, report):
-        module = function.parent_op()
-        for sibling in module.walk(include_self=False):
-            if isinstance(sibling, FuncOp) and sibling is not function:
-                sibling.body.append(arith.ConstantOp.build(1, i64()))
-                return
-
-
-class _ModuleMutatingPass(FunctionPass):
-    """Deliberately broken: appends to the module block from a worker."""
-
-    NAME = "mutate-module"
-
-    def run_on_function(self, function, report):
-        module = function.parent_op()
-        module.regions[0].blocks[0].append(
-            FuncOp.build("injected", [i64()]))
-
-
-def _rogue_manager(rogue_pass, jobs):
-    manager = PassManager(jobs=jobs)
-    manager.nest("func.func").add(rogue_pass)
-    return manager
-
-
-class TestWriteGuard:
-    def _run_rogue(self, rogue_pass, jobs):
-        manager = _rogue_manager(rogue_pass, jobs)
-        try:
-            manager.run(_listing_module())
-        finally:
-            manager.close()
-
-    def test_sibling_mutation_raises_under_jobs(self):
-        with pytest.raises(ConcurrentWriteError):
-            self._run_rogue(_SiblingMutatingPass(), jobs=2)
-
-    def test_module_mutation_raises_under_jobs(self):
-        with pytest.raises(ConcurrentWriteError):
-            self._run_rogue(_ModuleMutatingPass(), jobs=2)
-
-    def test_serial_run_is_unguarded(self):
-        # jobs=1 keeps the legacy single-writer behaviour: no guard, no
-        # error — cross-function mutation is legal in a serial pipeline.
-        self._run_rogue(_SiblingMutatingPass(), jobs=1)
-
-    def test_allow_unregistered_threading_opts_out(self):
-        Context.allow_unregistered_threading(True)
-        try:
-            self._run_rogue(_SiblingMutatingPass(), jobs=2)
-        finally:
-            Context.allow_unregistered_threading(False)
-        with pytest.raises(ConcurrentWriteError):
-            self._run_rogue(_SiblingMutatingPass(), jobs=2)
-
-    def test_own_function_mutation_is_allowed(self):
-        module = _listing_module()
-        reference = _listing_module()
-        _run(reference, jobs=1)
-        _run(module, jobs=4)  # canonicalize/cse/dce mutate freely
-        assert Printer().print_module(module) == \
-            Printer().print_module(reference)
-
-
-class _CloningPass(FunctionPass):
-    """Clones a region-holding op inside its own function (the
-    DetectReduction / LoopInternalization pattern): building the clone
-    mutates *detached* IR, which the write guard must permit."""
-
-    NAME = "clone-own-loop"
-
-    def run_on_function(self, function, report):
-        for op in function.walk(include_self=False):
-            if op.regions and op.parent is not None:
-                clone = op.clone({})
-                op.parent.insert_after(op, clone)
-                clone.erase()
-                return
-
-
-class TestWorkerLocalCloning:
-    def test_cloning_region_ops_is_legal_under_jobs(self):
-        # Regression: WriteGuard used to reject all mutation of detached
-        # IR, so Region.clone_into inside a worker raised.
-        manager = PassManager(jobs=2)
-        manager.nest("func.func").add(_CloningPass())
-        try:
-            manager.run(_synthetic_module())
-        finally:
-            manager.close()
-
-    def test_sycl_mlir_pipeline_with_reduction_listings(self):
-        # The paper listing modules exercise the cloning passes
-        # (DetectReduction rewrites reduction loops).
-        serial, parallel = _listing_module(), _listing_module()
-        build_named_pipeline("sycl-mlir").run(serial)
-        manager = build_named_pipeline("sycl-mlir", jobs=4)
-        try:
-            manager.run(parallel)
-        finally:
-            manager.close()
-        assert Printer().print_module(serial) == \
-            Printer().print_module(parallel)
+        serial, _ = compile_batch("serial.mlir", "--no-cache")
+        cold, cold_err = compile_batch("cold.mlir", "--jobs", "2",
+                                       "--cache-dir", str(cache_dir))
+        warm, warm_err = compile_batch("warm.mlir", "--jobs", "2",
+                                       "--cache-dir", str(cache_dir))
+        assert "process-tier: segments = 3" in warm_err
+        assert "disk cache: 0 hits, 3 misses" in cold_err
+        assert "3 entries" in cold_err
+        assert "disk cache: 3 hits, 0 misses" in warm_err
+        assert warm == cold == serial
 
 
 class TestCacheInstrumentationBypass:
@@ -323,8 +165,6 @@ class TestCacheInstrumentationBypass:
 
     def test_print_ir_after_all_prints_every_segment(self, tmp_path,
                                                      capsys):
-        from repro.tools.repro_opt import main as repro_opt
-
         text = Printer().print_module(
             wrap_in_module(build_listing1_function()[0])) + "\n"
         batch = tmp_path / "batch.mlir"
@@ -340,8 +180,6 @@ class TestCacheInstrumentationBypass:
                                                       capsys):
         # --verify-each disables caching; --report must not print a
         # "0 hits, 0 misses" line implying a cache was active.
-        from repro.tools.repro_opt import main as repro_opt
-
         text = Printer().print_module(
             wrap_in_module(build_listing1_function()[0])) + "\n"
         batch = tmp_path / "batch.mlir"
@@ -356,8 +194,6 @@ class TestCacheInstrumentationBypass:
                                                             tmp_path):
         # Structurally identical segments spelled with different value
         # names must keep their own names in the output, cache or not.
-        from repro.tools.repro_opt import main as repro_opt
-
         first = Printer().print_module(
             wrap_in_module(build_listing1_function()[0])) + "\n"
         second = first.replace("%v1", "%renamed1").replace("%v2",
@@ -380,13 +216,11 @@ class TestCacheInstrumentationBypass:
 
 class TestBatchDriver:
     def test_split_input_file_shares_cache(self, tmp_path, capsys):
-        from repro.tools.repro_opt import main as repro_opt
-
         text = Printer().print_module(_listing_module()) + "\n"
         batch = tmp_path / "batch.mlir"
         batch.write_text(text + "// -----\n" + text, encoding="utf-8")
         out = tmp_path / "out.mlir"
-        rc = repro_opt([str(batch), "--split-input-file", "--jobs", "2",
+        rc = repro_opt([str(batch), "--split-input-file",
                         "--passes", "canonicalize,cse", "-o", str(out),
                         "--report"])
         assert rc == 0
@@ -399,8 +233,6 @@ class TestBatchDriver:
         assert segments[0].strip() == segments[1].strip()
 
     def test_multiple_inputs_compile_in_order(self, tmp_path):
-        from repro.tools.repro_opt import main as repro_opt
-
         first = tmp_path / "first.mlir"
         second = tmp_path / "second.mlir"
         first.write_text(
@@ -422,8 +254,6 @@ class TestBatchDriver:
     def test_single_input_skips_the_cache(self, tmp_path, capsys):
         # One segment can never hit, so the fingerprint + template-clone
         # cost is skipped entirely (no cache line in --report).
-        from repro.tools.repro_opt import main as repro_opt
-
         source = tmp_path / "in.mlir"
         source.write_text(
             Printer().print_module(
@@ -435,8 +265,6 @@ class TestBatchDriver:
         assert "compile cache" not in capsys.readouterr().err
 
     def test_jobs_rejects_nonpositive(self, capsys):
-        from repro.tools.repro_opt import main as repro_opt
-
         assert repro_opt(["--jobs", "0", "--passes", "cse"]) == 2
         assert "--jobs" in capsys.readouterr().err
 

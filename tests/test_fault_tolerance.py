@@ -1,15 +1,17 @@
-"""Chaos suite: the fault-tolerance contract of the process tier.
+"""Chaos suite: the fault-tolerance contract of the process batch.
 
 Every fault class the supervisor claims to survive is injected
-deterministically (:mod:`repro.faults`) at every injection point, under
-``jobs=4``, and the test asserts the *compile still succeeds with output
-byte-identical to a serial run* — recovery by bounded retry, by pool
-rebuild, or by degradation down the ladder (process → thread → serial),
-never by silent corruption and never by failing a compile serial would
-pass.  Batch-mode error isolation and the graceful-Ctrl-C contract of
-the CLIs ride along (see ``docs/robustness.md``).
+deterministically (:mod:`repro.faults`) at every injection point into a
+three-segment ``repro-opt --split-input-file --jobs 4`` batch, and the
+test asserts the *batch still succeeds with output byte-identical to the
+serial batch* — recovery by bounded retry, by pool rebuild, or by
+degradation to an in-process run (of one segment or of the whole
+batch), never by silent corruption and never by failing a compile
+serial would pass.  Batch-mode error isolation and the graceful-Ctrl-C
+contract of the CLIs ride along (see ``docs/robustness.md``).
 """
 
+import re
 import sys
 import time
 from pathlib import Path
@@ -44,8 +46,7 @@ from .helpers import (  # noqa: E402
 
 PIPELINE = "builtin.module(func.func(canonicalize,cse,dce))"
 
-#: Snappy supervision policy for tests: small backoff, tight deadline
-#: head-room (individual tests override the deadline where it matters).
+#: Snappy supervision policy for direct executor tests: small backoff.
 FAST = dict(jobs=4, deadline=30.0, max_retries=2, backoff=0.01)
 
 
@@ -59,22 +60,8 @@ def _listing_module():
 
 def _serial_print():
     module = _listing_module()
-    manager = parse_pass_pipeline(PIPELINE)
-    try:
-        manager.run(module)
-    finally:
-        manager.close()
+    parse_pass_pipeline(PIPELINE).run(module)
     return Printer().print_module(module)
-
-
-def _process_manager(**overrides):
-    manager = parse_pass_pipeline(PIPELINE)
-    manager.jobs = 4
-    manager.tier = "process"
-    options = dict(FAST)
-    options.update(overrides)
-    manager.executor_options = ExecutorOptions(**options)
-    return manager
 
 
 @pytest.fixture(autouse=True)
@@ -87,26 +74,6 @@ def _clean_fault_state(monkeypatch):
 @pytest.fixture(scope="module")
 def serial_text():
     return _serial_print()
-
-
-def _run_process(serial_text, spec=None, **overrides):
-    """Compile the listing module on the process tier (under ``spec``
-    as the active fault plan) and assert byte-identity with serial."""
-    module = _listing_module()
-    manager = _process_manager(**overrides)
-    try:
-        if spec is not None:
-            install_fault_plan(FaultPlan.parse(spec))
-        report = manager.run(module)
-    finally:
-        install_fault_plan(None)
-        manager.close()
-    assert Printer().print_module(module) == serial_text
-    return report
-
-
-def _stat(report, pass_name, name):
-    return report.get_statistic(pass_name, name)
 
 
 class TestFaultPlan:
@@ -164,110 +131,127 @@ class TestFaultPlan:
         assert active_fault_plan() is first
 
 
+#: The batch the chaos cases compile: one segment per paper listing.
+BATCH = "batch.mlir"
+#: The fault-plan key of the segment the cases inject faults into.
+SEGMENT = f"{BATCH} (segment 2)"
+
+_STAT_RE = re.compile(r"^  ([^:]+): (\S+) = (\d+)$", re.MULTILINE)
+
+
+def _write_listing_batch(directory):
+    path = directory / BATCH
+    path.write_text("// -----\n".join(
+        Printer().print_module(wrap_in_module(build()[0])) + "\n"
+        for build in (build_listing1_function, build_listing2_function,
+                      build_listing3_function)), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def serial_batch(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("serial")
+    out = directory / "out.mlir"
+    assert repro_opt.main([str(_write_listing_batch(directory)),
+                           "--split-input-file", "--passes", PIPELINE,
+                           "-o", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
 class TestProcessTier:
-    def test_byte_identical_to_serial(self, serial_text):
-        report = _run_process(serial_text)
-        assert _stat(report, "process-tier", "units") == 3
+    """The failure matrix, on the batch segments ``--jobs 4`` ships."""
 
-    def test_transient_fault_is_retried(self, serial_text):
-        report = _run_process(serial_text,
-                              spec="executor.worker@foo=transient")
-        assert _stat(report, "process-tier", "transient_retries") == 1
-        assert _stat(report, "process-tier", "recovered_units") == 1
-        assert any("unit 'foo': recovered after 1 failed attempt(s)"
-                   in remark for remark in report.remarks)
-        assert any("retrying (attempt 2)" in remark
-                   for remark in report.remarks)
+    @pytest.fixture
+    def run_batch(self, tmp_path, monkeypatch, capsys, serial_batch):
+        """Compile the listing batch at ``--jobs 4`` under ``spec`` as
+        the active fault plan, assert byte-identity with the serial
+        batch, and return ``(statistics, stderr)``."""
+        monkeypatch.chdir(tmp_path)
+        _write_listing_batch(tmp_path)
 
-    def test_worker_crash_rebuilds_pool(self, serial_text):
-        report = _run_process(serial_text,
-                              spec="executor.worker@foo=crash")
-        assert _stat(report, "process-tier", "worker_crashes") >= 1
-        assert _stat(report, "process-tier", "pool_rebuilds") == 1
-        assert any("worker pool restarted after worker crash" in remark
-                   for remark in report.remarks)
+        def run(spec=None, *extra):
+            if spec is not None:
+                install_fault_plan(FaultPlan.parse(spec))
+            try:
+                rc = repro_opt.main([BATCH, "--split-input-file",
+                                     "--passes", PIPELINE, "--jobs", "4",
+                                     "--report", "-o", "out.mlir", *extra])
+            finally:
+                install_fault_plan(None)
+            err = capsys.readouterr().err
+            assert rc == 0, err
+            assert (tmp_path / "out.mlir").read_text(encoding="utf-8") \
+                == serial_batch
+            stats = {(pass_name, name): int(value) for pass_name, name, value
+                     in _STAT_RE.findall(err)}
+            return stats, err
 
-    def test_hang_is_bounded_by_deadline(self, serial_text):
+        return run
+
+    def test_byte_identical_to_serial(self, run_batch):
+        stats, _err = run_batch()
+        assert stats[("process-tier", "segments")] == 3
+
+    def test_transient_fault_is_retried(self, run_batch):
+        stats, err = run_batch(f"executor.worker@{SEGMENT}=transient")
+        assert stats[("process-tier", "transient_retries")] == 1
+        assert stats[("process-tier", "recovered_units")] == 1
+        assert f"unit '{SEGMENT}': recovered after 1 failed attempt(s)" \
+            in err
+        assert "retrying (attempt 2)" in err
+
+    def test_worker_crash_rebuilds_pool(self, run_batch):
+        stats, err = run_batch(f"executor.worker@{SEGMENT}=crash")
+        assert stats[("process-tier", "worker_crashes")] >= 1
+        assert stats[("process-tier", "pool_rebuilds")] == 1
+        assert "worker pool restarted after worker crash" in err
+
+    def test_hang_is_bounded_by_deadline(self, run_batch):
         start = time.monotonic()
-        report = _run_process(serial_text,
-                              spec="executor.worker@foo=hang/60",
-                              deadline=0.75)
+        stats, err = run_batch(f"executor.worker@{SEGMENT}=hang/60",
+                               "--deadline", "0.75")
         elapsed = time.monotonic() - start
         assert elapsed < 30.0  # nowhere near the injected 60s sleep
-        assert _stat(report, "process-tier", "hangs") == 1
-        assert _stat(report, "process-tier", "pool_rebuilds") == 1
-        assert any("deadline exceeded" in remark
-                   for remark in report.remarks)
+        assert stats[("process-tier", "hangs")] == 1
+        assert stats[("process-tier", "pool_rebuilds")] == 1
+        assert "deadline exceeded" in err
 
-    def test_corrupt_worker_result_is_detected(self, serial_text):
-        report = _run_process(serial_text,
-                              spec="executor.worker.result@foo=corrupt")
-        assert _stat(report, "process-tier", "corrupt_results") == 1
-        assert _stat(report, "process-tier", "recovered_units") == 1
-        assert any("corrupt result" in remark for remark in report.remarks)
+    def test_corrupt_worker_result_is_detected(self, run_batch):
+        stats, err = run_batch(f"executor.worker.result@{SEGMENT}=corrupt")
+        assert stats[("process-tier", "corrupt_results")] == 1
+        assert stats[("process-tier", "recovered_units")] == 1
+        assert "corrupt result" in err
 
-    def test_corrupt_at_splice_is_detected(self, serial_text):
-        report = _run_process(serial_text,
-                              spec="executor.splice@foo=corrupt")
-        assert _stat(report, "process-tier", "corrupt_results") == 1
+    def test_corrupt_at_splice_is_detected(self, run_batch):
+        stats, _err = run_batch(f"executor.splice@{SEGMENT}=corrupt")
+        assert stats[("process-tier", "corrupt_results")] == 1
 
-    def test_retry_exhaustion_degrades_unit_to_serial(self, serial_text):
-        report = _run_process(serial_text,
-                              spec="executor.worker@foo:*=transient")
-        assert _stat(report, "process-tier", "degraded_units") == 1
+    def test_retry_exhaustion_degrades_unit_to_serial(self, run_batch):
+        stats, err = run_batch(f"executor.worker@{SEGMENT}:*=transient")
+        assert stats[("process-tier", "degraded_units")] == 1
         # The retry budget (max_retries=2) bounds the attempts: first
         # try plus two retries, then the serial fallback.
-        assert _stat(report, "process-tier", "transient_retries") == 3
-        assert any("degraded to in-process serial run" in remark
-                   for remark in report.remarks)
+        assert stats[("process-tier", "transient_retries")] == 3
+        assert "degraded to in-process serial run" in err
 
-    def test_ladder_process_to_thread(self, serial_text):
-        report = _run_process(serial_text,
-                              spec="process-tier.dispatch=transient")
-        assert _stat(report, "process-tier", "degraded") == 1
-        assert any("process-tier: degraded to thread tier" in remark
-                   for remark in report.remarks)
-
-    def test_ladder_thread_to_serial(self, serial_text):
-        module = _listing_module()
-        manager = parse_pass_pipeline(PIPELINE)
-        manager.jobs = 4
-        try:
-            with fault_plan("thread-tier.dispatch=transient"):
-                report = manager.run(module)
-        finally:
-            manager.close()
-        assert Printer().print_module(module) == serial_text
-        assert _stat(report, "thread-tier", "degraded") == 1
-        assert any("thread-tier: degraded to serial" in remark
-                   for remark in report.remarks)
-
-    def test_full_ladder_process_to_thread_to_serial(self, serial_text):
-        report = _run_process(
-            serial_text,
-            spec="process-tier.dispatch=transient;"
-                 "thread-tier.dispatch=transient")
-        remarks = "\n".join(report.remarks)
-        assert "process-tier: degraded to thread tier" in remarks
-        assert "thread-tier: degraded to serial" in remarks
-        assert remarks.index("process-tier: degraded") \
-            < remarks.index("thread-tier: degraded")
+    def test_dispatch_failure_degrades_to_in_process_batch(self,
+                                                           run_batch):
+        stats, err = run_batch("process-tier.dispatch=transient")
+        assert stats[("process-tier", "degraded")] == 1
+        assert "process-tier: degraded to in-process batch" in err
 
 
 class TestCacheSelfHealing:
     def test_corrupt_hit_evicts_and_recompiles(self, serial_text):
         manager = parse_pass_pipeline(PIPELINE)
         manager.cache = CompileCache()
-        try:
-            manager.run(_listing_module())  # cold: populates the cache
-            assert manager.cache.stats.misses == 1
-            module = _listing_module()
-            with fault_plan("compile-cache.hit=corrupt"):
-                report = manager.run(module)
-        finally:
-            manager.close()
+        manager.run(_listing_module())  # cold: populates the cache
+        assert manager.cache.stats.misses == 1
+        module = _listing_module()
+        with fault_plan("compile-cache.hit=corrupt"):
+            report = manager.run(module)
         assert Printer().print_module(module) == serial_text
-        assert _stat(report, "compile-cache", "recovered") == 1
+        assert report.get_statistic("compile-cache", "recovered") == 1
         assert any("compile-cache: recovered from corrupt entry" in remark
                    for remark in report.remarks)
         # The poisoned entry is gone and the recovery compile re-stored
@@ -276,14 +260,11 @@ class TestCacheSelfHealing:
         assert len(manager.cache) == 1
         manager2 = parse_pass_pipeline(PIPELINE)
         manager2.cache = manager.cache
-        try:
-            module = _listing_module()
-            clean = manager2.run(module)
-        finally:
-            manager2.close()
+        module = _listing_module()
+        clean = manager2.run(module)
         assert Printer().print_module(module) == serial_text
-        assert _stat(clean, "compile-cache", "hits") == 1
-        assert _stat(clean, "compile-cache", "recovered") == 0
+        assert clean.get_statistic("compile-cache", "hits") == 1
+        assert clean.get_statistic("compile-cache", "recovered") == 0
 
 
 def _write_batch(tmp_path, segments, name="batch.mlir"):
@@ -315,7 +296,7 @@ def _broken_verify_segment():
 
 class TestBatchIsolation:
     @pytest.mark.parametrize("tier_args", [
-        [], ["--jobs", "4", "--parallel-tier", "process"],
+        [], ["--jobs", "4"],
     ], ids=["serial", "process"])
     def test_parse_error_does_not_abort_batch(self, tmp_path, capsys,
                                               tier_args):
@@ -374,8 +355,7 @@ class TestProcessBatchCLI:
         assert rc == 0
         rc, process_out, err = self._compile(
             tmp_path, capsys,
-            ["--jobs", "4", "--parallel-tier", "process", "--report"],
-            name="process.mlir")
+            ["--jobs", "4", "--report"], name="process.mlir")
         assert rc == 0
         assert process_out == serial_out
         assert "process-tier: segments = 2" in err
@@ -386,7 +366,7 @@ class TestProcessBatchCLI:
         monkeypatch.setenv(FAULT_PLAN_ENV, "executor.worker=transient")
         rc, _out, err = self._compile(
             tmp_path, capsys,
-            ["--jobs", "4", "--parallel-tier", "process", "--report"])
+            ["--jobs", "4", "--report"])
         assert rc == 0
         assert "transient_retries" in err
         assert "recovered after 1 failed attempt(s)" in err
@@ -434,8 +414,7 @@ class TestGracefulInterrupt:
 
 
 class TestWorkerErrorRendering:
-    def test_deterministic_worker_error_reproduces_in_process(
-            self, serial_text):
+    def test_deterministic_worker_error_reproduces_in_process(self):
         # A pass error is not retried: the unit degrades to the serial
         # fallback, which reproduces the error with native semantics —
         # here there is none (the pipeline is sound), so exercise the
@@ -459,10 +438,9 @@ class TestWorkerErrorRendering:
                               degraded=True, events=events)
 
         try:
-            unit = WorkUnit(uid=0, label="broken", kind="function",
+            unit = WorkUnit(uid=0, label="broken",
                             text="this does not parse", spec="canonicalize")
-            results = executor.run_units(
-                [unit], lambda u, o: o["text"], fallback)
+            results = executor.run_units([unit], fallback)
         finally:
             executor.close()
         result = results[0]

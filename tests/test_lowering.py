@@ -58,7 +58,7 @@ def _listing_module():
 
 
 def _lower(module):
-    build_named_pipeline("lower-to-llvm", None, 1).run(module)
+    build_named_pipeline("lower-to-llvm").run(module)
     return module
 
 
@@ -127,7 +127,7 @@ class TestConversionShape:
 
         report = CompileReport()
         module = _listing_module()
-        build_named_pipeline("lower-to-llvm", None, 1).run(
+        build_named_pipeline("lower-to-llvm").run(
             module, report=report)
         stats = {(stat.pass_name, stat.name): stat.value
                  for stat in report.statistics}
@@ -152,7 +152,7 @@ class TestDifferential:
         module must still compute what the *original* source did."""
         module, specs = build_gemm_module()
         reference = print_op(module)
-        build_named_pipeline("sycl-mlir", None, 1).run(module)
+        build_named_pipeline("sycl-mlir").run(module)
         assert print_op(module) != reference  # internalization fired
         report = run_differential(module, "lower-to-llvm", specs=specs)
         assert report.executed == ["gemm"]

@@ -1,8 +1,8 @@
 """The PR-6 static verification layer, end to end.
 
 Covers the :class:`~repro.analysis.manager.AnalysisManager` contract
-(caching, preservation, invalidation, fingerprint safety net, the
-``jobs=N`` merge and the compile-cache interplay), the lint rule engine
+(caching, preservation, invalidation, fingerprint safety net and the
+compile-cache interplay), the lint rule engine
 that statically catches PR 5's miscompile classes, source locations
 (parser, printer round-trip, kernel builder call-sites), the
 ``repro-lint`` / ``repro-opt --lint`` drivers and the
@@ -239,25 +239,6 @@ class TestPassManagerIntegration:
         pm.run(module)
         warm = pm.analysis_manager.describe()
         assert warm["hits"] > cold["hits"]
-
-    def test_jobs4_merges_worker_stats_and_entries(self):
-        functions = [build_listing1_function()[0] for _ in range(4)]
-        for i, f in enumerate(functions):
-            f.set_attr("sym_name", StringAttr(f"f{i}"))
-        module = wrap_in_module(*functions)
-        pm = PassManager(jobs=4)
-        fpm = pm.nest("func.func")
-        requesting = RequestingPass(preserve=True)
-        fpm.add(requesting)
-        try:
-            pm.run(module)
-        finally:
-            pm.close()
-        stats = pm.analysis_manager.describe()
-        assert len(requesting.seen) == 4
-        assert stats["misses"] >= 4
-        assert stats["entries"] >= 4
-        verify(module)
 
     def test_compile_cache_hit_carries_preserved_analyses(self):
         pm = PassManager()

@@ -52,10 +52,7 @@ def _run(build, pipeline, cache):
     module = build()
     manager = build_named_pipeline(pipeline)
     manager.cache = cache
-    try:
-        report = manager.run(module)
-    finally:
-        manager.close()
+    report = manager.run(module)
     return (Printer().print_module(module),
             Printer(print_locations=True).print_module(module), report)
 

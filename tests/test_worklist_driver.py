@@ -1,9 +1,9 @@
 """The worklist driver must reach the restart-sweep driver's fixed point.
 
-``benchmarks.legacy`` preserves the pre-worklist drivers; these tests run
-both over the same inputs (the paper-listing modules and synthetic
-benchmark modules) and require identical printed IR, plus check the
-driver's re-enqueue rules directly.
+``tests/restart_sweep.py`` preserves the pre-worklist rewrite loops;
+these tests run both over the same inputs (the paper-listing modules
+and synthetic benchmark modules) and require identical printed IR, plus
+check the worklist engine's re-enqueue rules directly.
 """
 
 import sys
@@ -14,10 +14,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.generate import GeneratorConfig, generate_module  # noqa: E402
-from benchmarks.legacy import (  # noqa: E402
-    LegacyCanonicalizePass,
-    apply_patterns_restart_sweep,
-)
 from repro.dialects import arith, builtin  # noqa: E402
 from repro.ir import IntegerAttr, Printer, i64, parse_module, verify  # noqa: E402
 from repro.transforms.canonicalize import CanonicalizePass  # noqa: E402
@@ -34,6 +30,10 @@ from .helpers import (  # noqa: E402
     build_listing2_function,
     build_listing3_function,
     wrap_in_module,
+)
+from .restart_sweep import (  # noqa: E402
+    LegacyCanonicalizePass,
+    apply_patterns_restart_sweep,
 )
 
 LISTING_BUILDERS = {
