@@ -2,6 +2,11 @@
 
 The contract under test (see ``docs/concurrency.md``):
 
+* a ``--jobs 4`` process batch prints byte-identical IR to the serial
+  batch, with identical statistics totals (and list order) and the same
+  position-keyed timing buckets; a single module, and any run the
+  workers cannot reproduce hands-off (exported syntax, instrumentation,
+  lint), compiles in-process;
 * a cache hit splices IR structurally equal to a cold compile and
   replays the cold run's statistics;
 * a ``--jobs N`` process batch shares the ``--cache-dir`` disk cache
@@ -10,13 +15,17 @@ The contract under test (see ``docs/concurrency.md``):
 * instrumented runs bypass the cache.
 """
 
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.generate import GeneratorConfig, generate_module  # noqa: E402
-from repro.ir import Printer, verify  # noqa: E402
+from repro.ir import Printer, parse_module, verify  # noqa: E402
+from repro.tools import repro_lint, repro_run  # noqa: E402
 from repro.tools.repro_opt import main as repro_opt  # noqa: E402
 from repro.transforms import (  # noqa: E402
     CompileCache,
@@ -51,6 +60,172 @@ def _run(module, cache=None):
     manager = parse_pass_pipeline(PIPELINE)
     manager.cache = cache
     return manager.run(module)
+
+
+def _listing_segments():
+    """One batch segment per paper listing."""
+    return [wrap_in_module(build()[0]) for build in (
+        build_listing1_function,
+        build_listing2_function,
+        build_listing3_function,
+    )]
+
+
+def _synthetic_segments():
+    """Three distinct generated modules (distinct texts: no dedup)."""
+    return [generate_module(GeneratorConfig(num_ops=300, num_kernels=4,
+                                            seed=seed))
+            for seed in (11, 12, 13)]
+
+
+_STAT_RE = re.compile(r"^  ([^:]+): (\S+) = (\d+)$", re.MULTILINE)
+_TIMING_ROW_RE = re.compile(r"^ +[0-9.]+ \( *[0-9.]+%\)  (.+)$",
+                            re.MULTILINE)
+
+
+def _compile_batch(tmp_path, capsys, segments, *extra, name="out.mlir"):
+    """Compile ``segments`` as one ``--split-input-file`` batch; returns
+    ``(printed output, stderr)``."""
+    batch = tmp_path / "batch.mlir"
+    batch.write_text("// -----\n".join(
+        Printer().print_module(module) + "\n" for module in segments),
+        encoding="utf-8")
+    out = tmp_path / name
+    rc = repro_opt([str(batch), "--split-input-file", "-o", str(out),
+                    *extra])
+    err = capsys.readouterr().err
+    assert rc == 0, err
+    return out.read_text(encoding="utf-8"), err
+
+
+def _pass_statistics(err):
+    """``--report`` statistics in report order, minus the batch
+    dispatch and cache bookkeeping that only one side records."""
+    return [(pass_name, name, int(value))
+            for pass_name, name, value in _STAT_RE.findall(err)
+            if pass_name not in ("process-tier", "compile-cache")]
+
+
+class TestParallelDeterminism:
+    @pytest.mark.parametrize("build_segments",
+                             [_listing_segments, _synthetic_segments])
+    def test_jobs4_output_byte_identical_to_serial(self, tmp_path, capsys,
+                                                   build_segments):
+        serial, _ = _compile_batch(tmp_path, capsys, build_segments(),
+                                   "--passes", PIPELINE,
+                                   name="serial.mlir")
+        parallel, err = _compile_batch(tmp_path, capsys, build_segments(),
+                                       "--passes", PIPELINE, "--jobs", "4",
+                                       "--report", name="parallel.mlir")
+        assert "process-tier: segments = 3" in err
+        assert parallel == serial
+        for segment in parallel.split("// -----\n"):
+            verify(parse_module(segment))
+
+    def test_statistics_totals_and_order_identical(self, tmp_path, capsys):
+        _, serial_err = _compile_batch(
+            tmp_path, capsys, _synthetic_segments(), "--passes", PIPELINE,
+            "--no-cache", "--report", name="serial.mlir")
+        _, parallel_err = _compile_batch(
+            tmp_path, capsys, _synthetic_segments(), "--passes", PIPELINE,
+            "--no-cache", "--report", "--jobs", "4", name="parallel.mlir")
+        serial_stats = _pass_statistics(serial_err)
+        assert serial_stats
+        assert _pass_statistics(parallel_err) == serial_stats
+
+    def test_timing_keys_stable_across_job_counts(self, tmp_path, capsys):
+        _, serial_err = _compile_batch(
+            tmp_path, capsys, _synthetic_segments(), "--passes", PIPELINE,
+            "--timing", name="serial.mlir")
+        _, parallel_err = _compile_batch(
+            tmp_path, capsys, _synthetic_segments(), "--passes", PIPELINE,
+            "--timing", "--jobs", "4", name="parallel.mlir")
+        serial_keys = set(_TIMING_ROW_RE.findall(serial_err)) - {"Total"}
+        parallel_keys = set(_TIMING_ROW_RE.findall(parallel_err)) - {"Total"}
+        assert serial_keys == parallel_keys
+        # Position-keyed: one bucket per scheduled slot, "N: name".
+        assert parallel_keys and all(": " in key for key in parallel_keys)
+
+    def test_named_pipeline_parallel_matches_serial(self, tmp_path, capsys):
+        serial, _ = _compile_batch(tmp_path, capsys, _synthetic_segments(),
+                                   "--pipeline", "dpcpp",
+                                   name="serial.mlir")
+        parallel, err = _compile_batch(tmp_path, capsys,
+                                       _synthetic_segments(),
+                                       "--pipeline", "dpcpp", "--jobs", "4",
+                                       "--report", name="parallel.mlir")
+        assert "process-tier: segments = 3" in err
+        assert parallel == serial
+
+    def test_single_function_module_stays_serial(self, tmp_path, capsys):
+        # One module can only go to one worker, so --jobs never ships it.
+        single = [wrap_in_module(build_listing1_function()[0])]
+        reference, _ = _compile_batch(tmp_path, capsys, single,
+                                      "--passes", PIPELINE,
+                                      name="serial.mlir")
+        output, err = _compile_batch(
+            tmp_path, capsys, [wrap_in_module(build_listing1_function()[0])],
+            "--passes", PIPELINE, "--jobs", "4", "--report",
+            name="parallel.mlir")
+        assert "process-tier" not in err
+        assert output == reference
+
+
+class TestWorkerLocalCloning:
+    def test_sycl_mlir_pipeline_with_reduction_listings(self, tmp_path,
+                                                        capsys):
+        # The paper listing modules exercise the cloning passes
+        # (DetectReduction rewrites reduction loops), here inside the
+        # worker processes.
+        serial, _ = _compile_batch(tmp_path, capsys, _listing_segments(),
+                                   "--pipeline", "sycl-mlir",
+                                   name="serial.mlir")
+        parallel, err = _compile_batch(tmp_path, capsys,
+                                       _listing_segments(),
+                                       "--pipeline", "sycl-mlir",
+                                       "--jobs", "4", "--report",
+                                       name="parallel.mlir")
+        assert "process-tier: segments = 3" in err
+        assert parallel == serial
+
+
+class TestProcessBatchEligibility:
+    """Runs whose output or diagnostics the workers cannot reproduce
+    hands-off compile in-process under ``--jobs``, with serial output."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--emit=mlir"],
+        ["--verify-each"],
+        ["--lint"],
+        ["--print-ir-after-all"],
+    ], ids=lambda flags: flags[0].lstrip("-"))
+    def test_falls_back_to_in_process(self, tmp_path, capsys, flags):
+        serial, _ = _compile_batch(tmp_path, capsys, _listing_segments(),
+                                   "--passes", PIPELINE, *flags,
+                                   name="serial.mlir")
+        output, err = _compile_batch(tmp_path, capsys, _listing_segments(),
+                                     "--passes", PIPELINE, *flags,
+                                     "--jobs", "4", "--report",
+                                     name="jobs.mlir")
+        assert "process-tier" not in err
+        assert output == serial
+
+
+class TestRemovedThreadTierOptions:
+    """The thread tier's switches are gone: passing one is a usage
+    error, never a silent no-op."""
+
+    @pytest.mark.parametrize("main, argv", [
+        (repro_opt, ["--parallel-tier", "thread", "--passes", "cse"]),
+        (repro_lint.main, ["--jobs", "2", "in.mlir"]),
+        (repro_run.main, ["--jobs", "2", "in.mlir"]),
+    ], ids=["repro-opt --parallel-tier", "repro-lint --jobs",
+            "repro-run --jobs"])
+    def test_option_is_a_usage_error(self, capsys, main, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCompileCache:

@@ -34,7 +34,14 @@ from repro.transforms import (  # noqa: E402
     CompileCache,
     parse_pass_pipeline,
 )
-from repro.transforms.executor import ExecutorOptions  # noqa: E402
+from repro.transforms.executor import (  # noqa: E402
+    CorruptResult,
+    ExecutorOptions,
+    SupervisedExecutor,
+    WorkUnit,
+    _compile_work_unit,
+    validate_segment_result,
+)
 from repro.tools import repro_lint, repro_opt, repro_run  # noqa: E402
 
 from .helpers import (  # noqa: E402
@@ -241,6 +248,77 @@ class TestProcessTier:
         assert "process-tier: degraded to in-process batch" in err
 
 
+class TestSegmentWorker:
+    """The worker entry point, driven in-process: what each segment
+    payload returns is what the supervisor validates and stitches."""
+
+    @staticmethod
+    def _payload(text, **fields):
+        unit = WorkUnit(uid=0, label=SEGMENT, text=text, spec=PIPELINE,
+                        verify=True, filename=BATCH, **fields)
+        return unit, SupervisedExecutor()._payload(unit, attempt=0)
+
+    @staticmethod
+    def _listing_text():
+        return Printer().print_module(
+            wrap_in_module(build_listing2_function()[0])) + "\n"
+
+    def test_result_matches_serial_print(self):
+        unit, payload = self._payload(self._listing_text())
+        outcome = _compile_work_unit(payload)
+        assert outcome["ok"], outcome
+        module = wrap_in_module(build_listing2_function()[0])
+        parse_pass_pipeline(PIPELINE).run(module)
+        assert validate_segment_result(unit, outcome) == \
+            Printer().print_module(module) + "\n"
+        assert outcome["statistics"]
+        assert "cache_stats" not in outcome
+
+    def test_worker_opens_the_shared_disk_cache(self, tmp_path):
+        texts = []
+        for expected in ({"hits": 0, "misses": 1}, {"hits": 1, "misses": 0}):
+            _unit, payload = self._payload(self._listing_text(),
+                                           cache_dir=str(tmp_path))
+            outcome = _compile_work_unit(payload)
+            assert outcome["ok"], outcome
+            disk = outcome["cache_stats"]["disk"]
+            assert (disk["hits"], disk["misses"]) == \
+                (expected["hits"], expected["misses"])
+            texts.append(outcome["text"])
+        assert texts[0] == texts[1]
+
+    def test_parse_error_is_a_deterministic_failure(self):
+        _unit, payload = self._payload("not IR at all\n")
+        outcome = _compile_work_unit(payload)
+        assert not outcome["ok"]
+        assert outcome["transient"] is False
+        assert "ParseError" in outcome["diagnostic"]["message"]
+
+    def test_transient_fault_is_flagged_for_retry(self):
+        install_fault_plan(FaultPlan.parse(
+            f"executor.worker@{SEGMENT}=transient"))
+        _unit, payload = self._payload(self._listing_text())
+        install_fault_plan(None)
+        # The plan rides in the payload, as it does to a fresh worker.
+        assert payload["fault_plan"]
+        outcome = _compile_work_unit(payload)
+        assert not outcome["ok"]
+        assert outcome["transient"] is True
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda outcome: outcome.update(text="  \n"),
+         "empty worker result"),
+        (lambda outcome: outcome.update(text=outcome["text"] + "// x\n"),
+         "fingerprint mismatch"),
+    ], ids=["empty", "fingerprint"])
+    def test_validation_rejects_tampered_result(self, tamper, message):
+        unit, payload = self._payload(self._listing_text())
+        outcome = _compile_work_unit(payload)
+        tamper(outcome)
+        with pytest.raises(CorruptResult, match=message):
+            validate_segment_result(unit, outcome)
+
+
 class TestCacheSelfHealing:
     def test_corrupt_hit_evicts_and_recompiles(self, serial_text):
         manager = parse_pass_pipeline(PIPELINE)
@@ -327,6 +405,25 @@ class TestBatchIsolation:
         assert "segment 2): verification failed" in captured.err
         pieces = out_path.read_text(encoding="utf-8").split("// -----\n")
         assert len(pieces) == 3 and "FAILED" in pieces[1]
+
+    def test_verification_failure_is_isolated_under_jobs(self, tmp_path,
+                                                         capsys):
+        # The worker fails the segment deterministically; the parent
+        # recompiles it in-process, which reports it like serial does.
+        good1, good2 = _segment_texts()
+        path = _write_batch(tmp_path,
+                            [good1, _broken_verify_segment(), good2])
+        out_path = tmp_path / "out.mlir"
+        rc = repro_opt.main([str(path), "--split-input-file",
+                             "--passes", PIPELINE, "--jobs", "4",
+                             "--report", "-o", str(out_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "segment 2): verification failed" in captured.err
+        assert "process-tier: segments = 3" in captured.err
+        pieces = out_path.read_text(encoding="utf-8").split("// -----\n")
+        assert len(pieces) == 3 and "FAILED" in pieces[1]
+        assert '"func.func"' in pieces[0] and '"func.func"' in pieces[2]
 
     def test_single_input_parse_error_still_aborts(self, tmp_path, capsys):
         path = tmp_path / "bad.mlir"
