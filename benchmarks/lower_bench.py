@@ -9,10 +9,14 @@ same regression gate as every other phase:
   scf→cf expansion, arith/memref/func→llvm conversion) on a fresh
   module per repeat;
 * ``lower/exec-vecadd`` / ``lower/exec-gemm`` — executing the fully
-  lowered CFG module through the engine, with a structured-module
+  lowered CFG module on the interpreter tier, with a structured-module
   reference timed alongside (``structured_seconds`` /
   ``overhead_vs_structured``) — the price of running branch-dispatch
   IR instead of structured regions;
+* ``lower/exec-jit-vecadd`` / ``lower/exec-jit-gemm`` — the same pair
+  on the JIT tier, where the lowered CFG compiles to one block-dispatch
+  loop: the overhead ratio prices that loop against the JIT's
+  structured code;
 * ``lower/emit-mlir`` / ``lower/parse-mlir`` — exporting the lowered
   GEMM in upstream-MLIR clause order and parsing it back, the
   round-trip contract the export tests enforce byte-for-byte.
@@ -54,9 +58,8 @@ def _exec_scenario(name: str, module, entry: str, resolved,
                    repeats: int, tier: str = "interp") -> Dict:
     # Mirrors jit_bench._tier_scenario: one engine, an untimed warmup
     # populating any caches, then a best-of-N warm loop.  Both sides of
-    # the structured-vs-lowered comparison run the scalar tier (the JIT
-    # and vector tiers decline CFG functions anyway), so the overhead
-    # ratio prices block dispatch, not a tier change.
+    # a structured-vs-lowered comparison run the same tier, so the
+    # overhead ratio prices block dispatch, not a tier change.
     engine = ExecutionEngine(module, tier=tier)
     function = module.lookup_symbol(entry)
     warmup = engine.execute(function, resolved)
@@ -98,16 +101,18 @@ def run_lower_suite(repeats: int = 3, smoke: bool = False) -> Dict:
         # and reused for the lowered one — the differential harness's
         # contract, so both executions see identical inputs.
         resolved = synthesize_spec(module.lookup_symbol(entry), spec)
-        reference = _exec_scenario(f"structured-ref/{label}", module,
-                                   entry, resolved, repeats)
         lowered = _lower(module)
-        record = _exec_scenario(f"lower/exec-{label}", lowered, entry,
-                                resolved, repeats)
-        record["structured_seconds"] = reference["seconds"]
-        if reference["seconds"] > 0:
-            record["overhead_vs_structured"] = (
-                record["seconds"] / reference["seconds"])
-        records.append(record)
+        for tier, name in (("interp", f"lower/exec-{label}"),
+                           ("jit", f"lower/exec-jit-{label}")):
+            reference = _exec_scenario(f"structured-ref/{label}", module,
+                                       entry, resolved, repeats, tier)
+            record = _exec_scenario(name, lowered, entry, resolved,
+                                    repeats, tier)
+            record["structured_seconds"] = reference["seconds"]
+            if reference["seconds"] > 0:
+                record["overhead_vs_structured"] = (
+                    record["seconds"] / reference["seconds"])
+            records.append(record)
 
     # Exporter cost on the richest output: the lowered GEMM CFG.
     lowered_gemm = _lower(gemm_module)
@@ -135,7 +140,7 @@ def summarize(results: Dict) -> str:
                for record in results.get("lower", {}).get("records", ())}
     parts = []
     for name in ("lower/pipeline-gemm", "lower/exec-gemm",
-                 "lower/emit-mlir"):
+                 "lower/exec-jit-gemm", "lower/emit-mlir"):
         record = records.get(name)
         if record is None:
             continue

@@ -452,7 +452,10 @@ def _eval_binary(ctx, op, args):
 
 
 def _ieee_zero_divide(op_name: str, a: float, b: float) -> float:
-    if op_name == "arith.divf" and a != 0.0 and not math.isnan(a):
+    # ``llvm.fdiv`` shares this evaluator, so it must get divf's +-inf
+    # too: lowering may not turn a defined infinity into a NaN.
+    if op_name in ("arith.divf", "llvm.fdiv") and a != 0.0 \
+            and not math.isnan(a):
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
     return math.nan
 

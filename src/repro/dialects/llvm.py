@@ -405,6 +405,48 @@ class LLVMFPTruncOp(_arith._CastOp):
         return float(value)
 
 
+#: ``arith`` operation name -> mirroring ``llvm`` operation class: the one
+#: table ``convert-arith-to-llvm`` rewrites by and the JIT emitter reads
+#: backwards (an ``llvm`` value op compiles as its ``arith`` original).
+#: The rewrite is attribute-preserving, which carries ``cmpi``/``cmpf``
+#: predicates and constant ``value`` payloads across unchanged.
+ARITH_TO_LLVM = {
+    "arith.constant": LLVMConstantOp,
+    "arith.addi": LLVMAddOp,
+    "arith.subi": LLVMSubOp,
+    "arith.muli": LLVMMulOp,
+    "arith.divsi": LLVMSDivOp,
+    "arith.divui": LLVMUDivOp,
+    "arith.remsi": LLVMSRemOp,
+    "arith.remui": LLVMURemOp,
+    "arith.andi": LLVMAndOp,
+    "arith.ori": LLVMOrOp,
+    "arith.xori": LLVMXOrOp,
+    "arith.shli": LLVMShlOp,
+    "arith.shrsi": LLVMAShrOp,
+    "arith.minsi": LLVMSMinOp,
+    "arith.maxsi": LLVMSMaxOp,
+    "arith.addf": LLVMFAddOp,
+    "arith.subf": LLVMFSubOp,
+    "arith.mulf": LLVMFMulOp,
+    "arith.divf": LLVMFDivOp,
+    "arith.remf": LLVMFRemOp,
+    "arith.minf": LLVMFMinOp,
+    "arith.maxf": LLVMFMaxOp,
+    "arith.cmpi": LLVMICmpOp,
+    "arith.cmpf": LLVMFCmpOp,
+    "arith.select": LLVMSelectOp,
+    "arith.negf": LLVMFNegOp,
+    "arith.index_cast": LLVMSExtOp,
+    "arith.extsi": LLVMSExtOp,
+    "arith.trunci": LLVMTruncOp,
+    "arith.sitofp": LLVMSIToFPOp,
+    "arith.fptosi": LLVMFPToSIOp,
+    "arith.extf": LLVMFPExtOp,
+    "arith.truncf": LLVMFPTruncOp,
+}
+
+
 from ..ir import StructType  # noqa: E402  (grouped with the parser hook)
 
 

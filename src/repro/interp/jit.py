@@ -2,7 +2,7 @@
 
 The PR 5 interpreter re-dispatches every operation of every work item
 through the evaluator registry — ~350k ops/s.  This tier compiles a
-``func.func`` body **once** into the source text of one Python function
+function body **once** into the source text of one Python function
 and ``compile()``/``exec``\\ s it, so a kernel launch becomes plain
 Python loops over flat NumPy arrays with zero per-op dispatch.  The
 generated function preserves the interpreter's observable semantics:
@@ -25,6 +25,11 @@ generated function preserves the interpreter's observable semantics:
   loop round-robins the generators exactly like
   ``Interpreter._run_group``.  Barrier-free kernels compile to plain
   nested loops (the fast path).
+* **Lowered functions** — ``lower-to-llvm`` output (``llvm.func``
+  CFGs of ``cf.br``/``cf.cond_br``) compiles to one block-dispatch
+  loop (:meth:`_Emitter._emit_body`); ``llvm`` value ops compile as the
+  ``arith`` ops they mirror, and pointers are a compile-time "flat
+  array + offset" view (see ``docs/execution_tiers.md``).
 
 Anything outside the supported op set raises
 :class:`JITUnsupportedError` at compile time, which the backend turns
@@ -52,10 +57,13 @@ recorded remark.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..dialects.arith import _FLOAT_PREDICATES, _ieee_zero_divide
+from ..dialects.llvm import ARITH_TO_LLVM
 from ..faults import TransientFault, fault_point
 from ..ir import (
     IndexType,
@@ -109,41 +117,38 @@ def _jit_floordiv(a, b):
     return int(a / b) if (a < 0) != (b < 0) and a % b != 0 else a // b
 
 
-def _jit_divsi(a, b):
+# Trapping helpers take the op name for their message: lowered IR
+# passes its ``llvm`` name, so the trap reads as the interpreter's.
+
+def _jit_divsi(a, b, name="arith.divsi"):
     if b == 0:
-        raise TrapError("division by zero in 'arith.divsi'")
+        raise TrapError(f"division by zero in '{name}'")
     return _jit_floordiv(a, b)
 
 
-def _jit_divui(a, b):
+def _jit_divui(a, b, name="arith.divui"):
     if b == 0:
-        raise TrapError("division by zero in 'arith.divui'")
+        raise TrapError(f"division by zero in '{name}'")
     return a // b
 
 
-def _jit_remsi(a, b):
+def _jit_remsi(a, b, name="arith.remsi"):
     if b == 0:
-        raise TrapError("division by zero in 'arith.remsi'")
+        raise TrapError(f"division by zero in '{name}'")
     return a - _jit_floordiv(a, b) * b
 
 
-def _jit_remui(a, b):
+def _jit_remui(a, b, name="arith.remui"):
     if b == 0:
-        raise TrapError("division by zero in 'arith.remui'")
+        raise TrapError(f"division by zero in '{name}'")
     return a % b
-
-
-def _jit_ieee_zero_divide(op_name, a, b):
-    if op_name == "arith.divf" and a != 0.0 and not math.isnan(a):
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-    return math.nan
 
 
 def _jit_divf(a, b):
     try:
         return a / b
     except ZeroDivisionError:
-        return _jit_ieee_zero_divide("arith.divf", float(a), float(b))
+        return _ieee_zero_divide("arith.divf", float(a), float(b))
 
 
 def _jit_remf(a, b):
@@ -165,29 +170,37 @@ def _jit_maxf(a, b):
     return max(a, b)
 
 
-def _jit_shift(op_name, compute, width, a, b):
+def _jit_shift(compute, a, b, width, type_text, name):
     shift = int(b)
     if not 0 <= shift < width:
         raise TrapError(
-            f"shift amount {shift} out of range for i{width} in "
-            f"'{op_name}'")
+            f"shift amount {shift} out of range for "
+            f"{type_text or f'i{width}'} in '{name}'")
     return compute(int(a), shift)
 
 
-def _jit_shli(a, b, width):
-    return _jit_shift("arith.shli", lambda x, s: x << s, width, a, b)
+# ``type_text`` defaults so sources a disk cache kept from before it
+# existed (``_shli(a, b, width)``) still run.
+def _jit_shli(a, b, width, type_text=None, name="arith.shli"):
+    return _jit_shift(lambda x, s: x << s, a, b, width, type_text, name)
 
 
-def _jit_shrsi(a, b, width):
-    return _jit_shift("arith.shrsi", lambda x, s: x >> s, width, a, b)
+def _jit_shrsi(a, b, width, type_text=None, name="arith.shrsi"):
+    return _jit_shift(lambda x, s: x >> s, a, b, width, type_text, name)
 
 
-def _jit_fptosi(value):
+def _jit_fptosi(value, name="arith.fptosi"):
     try:
         return int(value)
     except (ValueError, OverflowError) as error:
         raise TrapError(
-            f"'arith.fptosi' cannot convert {value!r}: {error}") from None
+            f"'{name}' cannot convert {value!r}: {error}") from None
+
+
+def _jit_flat_oob(linear, size):
+    # The message of MemRefStorage.load_flat/store_flat, verbatim.
+    raise TrapError(
+        f"flat index {linear} out of bounds for memref of {size} elements")
 
 
 def _jit_at(values, dim, what):
@@ -219,7 +232,6 @@ def _jit_namespace() -> Dict[str, object]:
     """Fresh globals for one executable.  Static by construction: every
     name binds a module-level object, so disk-cached source needs only
     ``compile()`` + ``exec`` to rehydrate."""
-    from ..dialects.arith import _FLOAT_PREDICATES
     from ..runtime.accessor import LocalAccessor
 
     return {
@@ -232,6 +244,7 @@ def _jit_namespace() -> Dict[str, object]:
         "_MemRefStorage": MemRefStorage,
         "_LocalAccessor": LocalAccessor,
         "_at": _jit_at,
+        "_oob": _jit_flat_oob,
         "_divsi": _jit_divsi,
         "_divui": _jit_divui,
         "_remsi": _jit_remsi,
@@ -251,6 +264,20 @@ def _jit_namespace() -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 # The emitter
 # ---------------------------------------------------------------------------
+
+#: Binary helpers whose trap message names the operation.
+_NAMED_TRAPS = frozenset({"_divsi", "_divui", "_remsi", "_remui"})
+
+#: Terminators that leave a dispatch block (anything else falls off it).
+_CFG_EXITS = frozenset({"cf.br", "cf.cond_br", "func.return",
+                        "llvm.return"})
+
+
+def _flat_check(position: str, ref: "_Ref") -> str:
+    """The bounds check of ``MemRefStorage.load_flat``/``store_flat``."""
+    return (f"if not 0 <= {position} < {ref.size}: "
+            f"_oob({position}, {ref.size})")
+
 
 class _Stat:
     """Per-structured-block static tallies (multiplied by the block's
@@ -298,7 +325,7 @@ def _scalar_int_type(type_) -> bool:
 
 
 class _Emitter:
-    """Emits one Python function for one ``func.func`` body.
+    """Emits one Python function for one ``func.func``/``llvm.func`` body.
 
     ``mode`` is ``"function"`` (plain call), ``"basic"`` (range
     launch), ``"nd"`` (nd-range launch, no barriers — nested loops) or
@@ -328,6 +355,11 @@ class _Emitter:
     CMP_FLOAT_ORDERED = {
         "oeq": "==", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">=",
     }
+    #: ``llvm`` value op -> the ``arith`` op it mirrors (the inverse of
+    #: ``convert-arith-to-llvm``'s table).  Lowered IR compiles through
+    #: the arith emission, so each operation is defined once.
+    ALIASES = {cls.OPERATION_NAME: name
+               for name, cls in ARITH_TO_LLVM.items()}
 
     def __init__(self, function, mode: str):
         self.fn = function
@@ -358,6 +390,11 @@ class _Emitter:
         self.g_vars: List[str] = []
         self.l_vars: List[str] = []
         self.p_vars: List[str] = []
+        #: Multi-block bodies: ``id(block)`` -> dispatch label, the
+        #: argument locals of each label, and the label being emitted.
+        self.labels: Optional[Dict[int, int]] = None
+        self.block_vars: Dict[int, List[str]] = {}
+        self.label = 0
 
     # -- small utilities -----------------------------------------------------
     def fresh(self, prefix: str = "v") -> str:
@@ -630,15 +667,13 @@ class _Emitter:
         if not rank:
             self.line("for _i0 in range(math.prod(_GR)):")
             self.ind += 1
-            self.emit_block(self.fn.body, None, budget=True,
-                            count=self.total_expr)
+            self._emit_body(budget=True, count=self.total_expr)
             self.ind -= 1
             return
         for d in range(rank):
             self.line(f"for {g[d]} in range(_GR{d}):")
             self.ind += 1
-        self.emit_block(self.fn.body, None, budget=True,
-                        count=self.total_expr)
+        self._emit_body(budget=True, count=self.total_expr)
         self.ind -= rank
 
     def _emit_nd_driver(self, rank, g, lo, pr) -> None:
@@ -653,8 +688,7 @@ class _Emitter:
             self.line(f"for {lo[d]} in range(_LR{d}):")
             self.ind += 1
             self.line(f"{g[d]} = {pr[d]} * _LR{d} + {lo[d]}")
-        self.emit_block(self.fn.body, None, budget=True,
-                        count=self.total_expr)
+        self._emit_body(budget=True, count=self.total_expr)
         self.ind -= 2 * rank
 
     def _emit_nd_barrier_driver(self, rank, g, lo, pr) -> None:
@@ -671,8 +705,7 @@ class _Emitter:
         joined_l = ", ".join(lo) + ("," if rank == 1 else "")
         self.line(f"{joined_g} = _g")
         self.line(f"{joined_l} = _l")
-        self.emit_block(self.fn.body, None, budget=True,
-                        count=self.total_expr)
+        self._emit_body(budget=True, count=self.total_expr)
         self.line("if False: yield None")  # force generator when no barrier
         self.ind -= 1
         self.line("_active = []")
@@ -702,7 +735,87 @@ class _Emitter:
 
     def _emit_function_body(self) -> None:
         self.pro.insert(0, "    _ret = []")
-        self.emit_block(self.fn.body, None, budget=False, count="1")
+        self._emit_body(budget=False, count="1")
+
+    # -- multi-block bodies: block dispatch ----------------------------------
+    def _emit_body(self, budget: bool, count: str) -> None:
+        """Emit the function body: straight-line code for one block, a
+        block-dispatch loop for a CFG (``convert-scf-to-cf`` output)::
+
+            _blk = 0
+            while True:
+                if _blk == 0:
+                    <entry block>          # statically counted
+                    b2_0, b2_1 = x, y      # cf.br ^bb2(x, y)
+                    _blk = 2               # forward: falls through
+                if _blk == 1:
+                    ...
+                    _blk = 1
+                    continue               # backward: re-dispatch
+                ...
+
+        Block arguments are locals ``b<label>_<k>``, assigned in
+        parallel at every branch site (loop-carried swaps stay
+        correct).  Every non-entry block carries a run-time ``_bc``
+        count with the step-budget check, so a CFG loop is bounded like
+        an ``scf.while``; a return ``break``\\ s out of the loop.  Under
+        ``nd-barrier`` the loop sits inside the per-item generator, so
+        barriers yield from any block.
+        """
+        blocks = self.fn.regions[0].blocks
+        if len(blocks) == 1:
+            self.emit_block(blocks[0], None, budget=budget, count=count)
+            return
+        self.labels = {id(block): k for k, block in enumerate(blocks)}
+        for k, block in enumerate(blocks[1:], 1):
+            names = [f"b{k}_{j}" for j in range(len(block.arguments))]
+            self.block_vars[k] = names
+            for argument, name in zip(block.arguments, names):
+                self.kinds[id(argument)] = ("scalar", name)
+        self.line("_blk = 0")
+        self.line("while True:")
+        self.ind += 1
+        for k, block in enumerate(blocks):
+            self.label = k
+            self.line(f"if _blk == {k}:")
+            self.ind += 1
+            if k == 0:
+                self.emit_block(block, None, budget=budget, count=count)
+            else:
+                self.emit_block(block, None, budget=True)
+            last = block.last_op
+            if last is None or last.name not in _CFG_EXITS:
+                # The interpreter ends the function when a block falls
+                # off its end.
+                self.line("break")
+            self.ind -= 1
+        self.ind -= 1
+
+    def _emit_branch(self, dest, operands) -> None:
+        if self.labels is None:
+            raise self.unsup("branch outside a multi-block function body")
+        label = self.labels.get(id(dest))
+        if not label:  # outside the body, or the (unbranchable) entry
+            raise self.unsup("branch to the entry block or out of the body")
+        names = self.block_vars[label]
+        if len(names) != len(operands):
+            raise self.unsup("branch operand count mismatch")
+        exprs = [self.expr(value) for value in operands]
+        if exprs != names:
+            self.line(f"{', '.join(names)} = {', '.join(exprs)}")
+        self.line(f"_blk = {label}")
+        if label <= self.label:
+            self.line("continue")
+
+    def _emit_cond_branch(self, op) -> None:
+        self.line(f"if {self.expr(op.condition)}:")
+        self.ind += 1
+        self._emit_branch(op.true_dest, op.true_operands)
+        self.ind -= 1
+        self.line("else:")
+        self.ind += 1
+        self._emit_branch(op.false_dest, op.false_operands)
+        self.ind -= 1
 
     # -- block emission ------------------------------------------------------
     def emit_block(self, block, arg_kinds, budget: bool,
@@ -740,7 +853,7 @@ class _Emitter:
 
     # -- single-op emission --------------------------------------------------
     def emit_op(self, op, stat: _Stat, yield_vars) -> None:
-        name = op.name
+        name = self.ALIASES.get(op.name, op.name)
         if name == "arith.constant":
             value = op.value
             if isinstance(value, bool):
@@ -776,14 +889,19 @@ class _Emitter:
             return
         if name in self.BIN_HELPER:
             a, b = self.expr(op.operands[0]), self.expr(op.operands[1])
-            self._assign(op.results[0],
-                         f"{self.BIN_HELPER[name]}({a}, {b})")
+            helper = self.BIN_HELPER[name]
+            alias = self._trap_name(op, name) \
+                if helper in _NAMED_TRAPS else ""
+            self._assign(op.results[0], f"{helper}({a}, {b}{alias})")
             return
         if name in ("arith.shli", "arith.shrsi"):
-            width = getattr(op.results[0].type, "width", 64)
+            result_type = op.results[0].type
+            width = getattr(result_type, "width", 64)
             a, b = self.expr(op.operands[0]), self.expr(op.operands[1])
             helper = "_shli" if name == "arith.shli" else "_shrsi"
-            self._assign(op.results[0], f"{helper}({a}, {b}, {width})")
+            self._assign(op.results[0], f"{helper}({a}, {b}, {width}, "
+                                        f"{str(result_type)!r}"
+                                        f"{self._trap_name(op, name)})")
             return
         if name == "arith.cmpi":
             predicate = op.predicate
@@ -800,8 +918,6 @@ class _Emitter:
             if sym is not None:
                 self._assign(op.results[0], f"{a} {sym} {b}")
             else:
-                from ..dialects.arith import _FLOAT_PREDICATES
-
                 if predicate not in _FLOAT_PREDICATES:
                     raise self.unsup(f"cmpf predicate {predicate!r}")
                 self._assign(op.results[0],
@@ -836,7 +952,8 @@ class _Emitter:
             return
         if name == "arith.fptosi":
             self._assign(op.results[0],
-                         f"_fptosi({self.expr(op.operands[0])})")
+                         f"_fptosi({self.expr(op.operands[0])}"
+                         f"{self._trap_name(op, name)})")
             return
         if name in ("arith.extf", "arith.truncf"):
             value = op.operands[0]
@@ -855,12 +972,20 @@ class _Emitter:
                 exprs = [self.expr(v) for v in op.operands]
                 self.line(f"{', '.join(yield_vars)} = {', '.join(exprs)}")
             return
-        if name == "func.return":
+        if name in ("func.return", "llvm.return"):
             if self.mode == "function":
                 exprs = [self.expr(v) for v in op.operands]
                 self.line(f"_ret = [{', '.join(exprs)}]")
             elif op.operands:
                 raise self.unsup("kernel returning values")
+            if self.labels is not None:
+                self.line("break")
+            return
+        if name == "cf.br":
+            self._emit_branch(op.dest, op.operands)
+            return
+        if name == "cf.cond_br":
+            self._emit_cond_branch(op)
             return
         if name == "scf.if":
             self._emit_if(op)
@@ -905,8 +1030,24 @@ class _Emitter:
             return
         if name == "memref.dealloc":
             return
-        if name == "memref.cast":
+        if name in ("memref.cast", "builtin.unrealized_conversion_cast"):
+            # Value identity, as in the interpreter: a memref bridged to
+            # ``!llvm.ptr`` keeps its kind, which the pointer ops accept.
+            if len(op.operands) != 1 or len(op.results) != 1:
+                raise self.unsup(f"'{name}' of several values")
             self.kinds[id(op.results[0])] = self.kind_of(op.operands[0])
+            return
+        if name == "llvm.getelementptr":
+            self._emit_gep(op)
+            return
+        if name == "llvm.load":
+            self._emit_pointer_load(op, stat)
+            return
+        if name == "llvm.store":
+            self._emit_pointer_store(op, stat)
+            return
+        if name == "llvm.alloca":
+            self._emit_alloca(op)
             return
         if name == "memref.dim":
             self._emit_dim(op)
@@ -995,6 +1136,12 @@ class _Emitter:
                 self.kinds[id(result)] = ("scalar", "None")
             return
         raise self.unsup(f"operation '{name}'")
+
+    @staticmethod
+    def _trap_name(op, name: str) -> str:
+        """The extra helper argument naming an aliased (``llvm``) op in
+        its trap message; empty for the arith op itself."""
+        return f", {op.name!r}" if op.name != name else ""
 
     def _assign(self, result, body: str) -> None:
         var = self.fresh()
@@ -1205,9 +1352,7 @@ class _Emitter:
             if checked and offset == "0":
                 return base, [], ref
             var = self.fresh("q")
-            lines = [f"{var} = {base} + {offset}",
-                     f"if not 0 <= {var} < {ref.size}: raise _TrapError("
-                     f"'flat index out of bounds')"]
+            lines = [f"{var} = {base} + {offset}", _flat_check(var, ref)]
             return var, lines, ref
         raise self.unsup(f"load/store through a {kind[0]} value")
 
@@ -1229,6 +1374,77 @@ class _Emitter:
         for text in lines:
             self.line(text)
         self.line(f"{ref.flat}[{position}] = {self.expr(op.operands[0])}")
+
+    # -- llvm pointers: a compile-time "flat array + offset" kind -----------
+    def _pointer(self, value) -> Tuple[_Ref, str, bool]:
+        """``(ref, flat position, checked)`` behind a pointer value.
+
+        A pointer is a ``view`` (array + offset expression):
+        ``sycl.accessor.get_pointer`` views start at the accessor's
+        linear base, memref and alloca storages at 0 — the windows the
+        interpreter's ``_pointer_window`` builds, so bounds and byte
+        counts agree.
+        """
+        kind = self.kind_of(value)
+        if kind[0] == "view":
+            return kind[1], kind[2], kind[3]
+        if kind[0] == "stor":
+            return kind[1], "0", False
+        raise self.unsup(f"pointer use of a {kind[0]} value")
+
+    def _emit_gep(self, op) -> None:
+        ref, base, _ = self._pointer(op.operands[0])
+        terms = [] if base == "0" else [base]
+        terms += [self.expr(value) for value in op.operands[1:]]
+        static = sum(op.static_offsets)
+        if static:
+            terms.append(f"({static})")
+        if not terms:
+            position = "0"
+        elif len(terms) == 1 and (terms[0].isidentifier()
+                                  or terms[0].isdigit()):
+            position = terms[0]
+        else:
+            position = self.fresh("q")
+            self.line(f"{position} = {' + '.join(terms)}")
+        self.kinds[id(op.results[0])] = ("view", ref, position, False)
+
+    def _emit_pointer_load(self, op, stat: _Stat) -> None:
+        ref, position, checked = self._pointer(op.operands[0])
+        stat.loads += 1
+        stat.bytes_read += ref.elem_bytes
+        if not checked:
+            self.line(_flat_check(position, ref))
+        conv = "float" if ref.is_float else "int"
+        self._assign(op.results[0], f"{conv}({ref.flat}[{position}])")
+
+    def _emit_pointer_store(self, op, stat: _Stat) -> None:
+        ref, position, checked = self._pointer(op.operands[1])
+        stat.stores += 1
+        stat.bytes_written += ref.elem_bytes
+        if not checked:
+            self.line(_flat_check(position, ref))
+        self.line(f"{ref.flat}[{position}] = {self.expr(op.operands[0])}")
+
+    def _emit_alloca(self, op) -> None:
+        from ..dialects.llvm import _pointer_element_type
+        from .memory import _numpy_dtype
+
+        element = _pointer_element_type(op.results[0].type)
+        dtype = _numpy_dtype(element) if element is not None else None
+        if dtype is None:
+            # Opaque host objects trap in the interpreter; leave them to it.
+            raise self.unsup("llvm.alloca without a scalar element type")
+        # convert-memref-to-llvm only promotes static shapes; any other
+        # size is the interpreter's to check.
+        size = self._const_int(op.operands[0]) if op.operands else 1
+        if size is None or size < 0:
+            raise self.unsup("llvm.alloca of a non-constant size")
+        var = self.fresh("m")
+        self.line(f"{var} = _np.zeros({size}, dtype=_np."
+                  f"{_np.dtype(dtype).name})")
+        self.kinds[id(op.results[0])] = ("stor", _Ref(
+            var, size, (size,), is_float(element), byte_size_of(element)))
 
     # -- SYCL ids and accessors ----------------------------------------------
     def _emit_constructor(self, op) -> None:
@@ -1472,29 +1688,28 @@ class ExecutableCache:
         self.disk = disk
         self._entries: "OrderedDict[Tuple[str, str], CompiledExecutable]" \
             = OrderedDict()
-        self._keys_by_id: Dict[Tuple[int, str], Tuple[object, Tuple]] = {}
+        #: function -> its text fingerprint.  Weak: a daemon serving a
+        #: new module per request must not keep old modules alive.
+        self._fingerprints: "weakref.WeakKeyDictionary[object, str]" = \
+            weakref.WeakKeyDictionary()
         self.stats = {"hits": 0, "misses": 0, "stores": 0,
                       "disk_hits": 0, "disk_stores": 0}
 
     def key_for(self, function, mode: str) -> Tuple[str, str]:
         """The cache key of ``function`` under ``mode``.
 
-        Memoized per function object (the held reference keeps ``id``
-        stable) — printing the IR on every launch would cost more than
-        small kernels take to run.
+        The fingerprint is memoized per function object — printing the
+        IR on every launch would cost more than small kernels take to
+        run.
         """
         from ..transforms.compile_cache import text_fingerprint
 
-        memo_key = (id(function), mode)
-        memo = self._keys_by_id.get(memo_key)
-        if memo is not None and memo[0] is function:
-            return memo[1]
-        printed = Printer().print_op_to_string(function)
-        key = (text_fingerprint(printed), f"jit:{mode}")
-        if len(self._keys_by_id) > 4 * self.max_entries:
-            self._keys_by_id.clear()
-        self._keys_by_id[memo_key] = (function, key)
-        return key
+        fingerprint = self._fingerprints.get(function)
+        if fingerprint is None:
+            fingerprint = text_fingerprint(
+                Printer().print_op_to_string(function))
+            self._fingerprints[function] = fingerprint
+        return (fingerprint, f"jit:{mode}")
 
     def lookup(self, key) -> Optional[CompiledExecutable]:
         entry = self._entries.get(key)
@@ -1591,22 +1806,19 @@ def _merge_counters(into, delta) -> None:
         setattr(into, field_name, getattr(into, field_name) + value)
 
 
-#: ``id(function)`` -> whether its body contains a group barrier.  The
-#: walk is per-launch overhead otherwise; entries are evicted wholesale
-#: once the table grows past the bound (function identity is stable for
-#: the lifetime of a module, and a stale entry only costs a re-walk).
-_BARRIER_MEMO: Dict[int, bool] = {}
+#: function -> whether its body contains a group barrier (the walk is
+#: per-launch overhead otherwise).  Weak keys: an entry dies with its
+#: function, so a recycled ``id`` can never read a stale answer.
+_BARRIER_MEMO: "weakref.WeakKeyDictionary[object, bool]" = \
+    weakref.WeakKeyDictionary()
 
 
 def _contains_barrier(function) -> bool:
-    key = id(function)
-    cached = _BARRIER_MEMO.get(key)
+    cached = _BARRIER_MEMO.get(function)
     if cached is None:
         cached = any(op.name == "sycl.group_barrier"
                      for op in function.walk())
-        if len(_BARRIER_MEMO) > 512:
-            _BARRIER_MEMO.clear()
-        _BARRIER_MEMO[key] = cached
+        _BARRIER_MEMO[function] = cached
     return cached
 
 

@@ -40,6 +40,7 @@ re-materializing ``execute`` path degrades to the next tier.
 from __future__ import annotations
 
 import operator
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from ..ir import IndexType, IntegerType, is_float
@@ -101,22 +102,21 @@ _SUPPORTED_OPS = frozenset({
     "sycl.group_barrier",
 })
 
-#: ``id(function) -> (function, reason)`` — the held reference keeps the
-#: id stable; cleared when it grows past any sane working set.
-_LEGALITY_MEMO: Dict[int, Tuple[object, Optional[str]]] = {}
+#: function -> its legality verdict.  Weak keys: an entry dies with its
+#: function, so a daemon executing a new module per request does not
+#: keep the old modules alive through this table.
+_LEGALITY_MEMO: "weakref.WeakKeyDictionary[object, Optional[str]]" = \
+    weakref.WeakKeyDictionary()
 
 
 def vector_legality(function) -> Optional[str]:
     """``None`` when ``function`` is lockstep-vectorizable, else the
     human-readable reason it is not (memoized per function object)."""
-    memo = _LEGALITY_MEMO.get(id(function))
-    if memo is not None and memo[0] is function:
-        return memo[1]
-    reason = _compute_legality(function)
-    if len(_LEGALITY_MEMO) > 512:
-        _LEGALITY_MEMO.clear()
-    _LEGALITY_MEMO[id(function)] = (function, reason)
-    return reason
+    try:
+        return _LEGALITY_MEMO[function]
+    except KeyError:
+        reason = _LEGALITY_MEMO[function] = _compute_legality(function)
+        return reason
 
 
 def _compute_legality(function) -> Optional[str]:

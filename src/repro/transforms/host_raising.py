@@ -42,8 +42,12 @@ RUNTIME_PATTERNS: List[Tuple[str, str]] = [
     (r"sycl.*queue.*C[12]", "queue"),
 ]
 
-#: Pattern extracting the kernel name from a ``parallel_for`` instantiation.
-PARALLEL_FOR_PATTERN = re.compile(r"parallel_forI(?P<kernel>[A-Za-z0-9_]+)E")
+#: Pattern locating the kernel name of a ``parallel_for`` instantiation:
+#: DPC++ emits the Itanium form ``parallel_forI<len><name>E...`` (a length
+#: prefix, then exactly that many characters); hand-written host code may
+#: spell it unmangled, ``parallel_forI<name>E``.
+PARALLEL_FOR_PATTERN = re.compile(
+    r"parallel_forI(?:(?P<length>\d+)|(?P<kernel>[A-Za-z_]\w*)E)")
 
 #: Pattern recognizing ``handler::parallel_for`` calls.
 PARALLEL_FOR_CALL = re.compile(r"sycl.*handler.*parallel_for")
@@ -58,8 +62,19 @@ def classify_runtime_call(callee: str) -> Optional[str]:
 
 
 def extract_kernel_name(callee: str) -> Optional[str]:
+    """The kernel name of a ``parallel_for`` callee, or None.
+
+    The Itanium length prefix bounds the name, so
+    ``..parallel_forI4gemmEEvNS0_8nd_rangeILi2EEE`` reads ``gemm``.
+    """
     match = PARALLEL_FOR_PATTERN.search(callee)
-    return match.group("kernel") if match else None
+    if match is None:
+        return None
+    if match.group("kernel") is not None:
+        return match.group("kernel")
+    length = int(match.group("length"))
+    name = callee[match.end():match.end() + length]
+    return name if len(name) == length and name.isidentifier() else None
 
 
 @register_pass

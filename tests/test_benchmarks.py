@@ -171,6 +171,17 @@ class TestCompareGate:
         assert by_name["vecadd-exec"]["ops"] > 0
         assert by_name["vecadd-exec"]["ops_per_second"] > 0
 
+    def test_lower_smoke_runs_lowered_cfgs_on_both_tiers(self):
+        from benchmarks.lower_bench import run_lower_suite
+
+        records = {record["name"]: record for record in
+                   run_lower_suite(repeats=1, smoke=True)["records"]}
+        for label in ("vecadd", "gemm"):
+            assert records[f"lower/exec-{label}"]["tier"] == "interp"
+            jit = records[f"lower/exec-jit-{label}"]
+            assert jit["tier"] == "jit"
+            assert jit["ops"] == records[f"lower/exec-{label}"]["ops"]
+
     def test_normalize_cancels_uniform_machine_drift(self, tmp_path):
         # A uniformly 1.5x-slower machine passes under --normalize ...
         rc = self._run_main(tmp_path, self._payload(),

@@ -16,15 +16,19 @@ Covers the lowering subsystem end to end:
 
 import pytest
 
+from benchmarks.kernels import build_vecadd_module
 from repro.dialects import arith, cf, func, memref, scf
 from repro.dialects.llvm import LLVMFuncOp
 from repro.interp import ExecutionSpec, run_differential
+from repro.interp.differential import _executable_functions, synthesize_spec
 from repro.interp.engine import ExecutionEngine
+from repro.interp.memory import MemRefStorage, TrapError
 from repro.ir import (
     Block,
     IndexType,
     MemRefType,
     VerificationError,
+    f32,
     i1,
     i32,
     parse_module,
@@ -165,6 +169,35 @@ class TestDifferential:
                                   specs=listing_execution_specs(),
                                   tier=tier)
         assert report.executed == ["foo", "mem_acc", "non_uniform"]
+        if tier not in ("jit", "auto"):
+            return
+        # The lowered CFGs compile on the JIT itself (no fallback) and
+        # match the interpreter bit for bit, counters included.
+        _assert_lowered_runs_on_jit(_listing_module(),
+                                    listing_execution_specs(), tier)
+        gemm, gemm_specs = build_gemm_module()
+        build_named_pipeline("sycl-mlir").run(gemm)
+        _assert_lowered_runs_on_jit(gemm, gemm_specs, tier)
+        vecadd, entry, vecadd_spec = build_vecadd_module(64)
+        _assert_lowered_runs_on_jit(vecadd, {entry: vecadd_spec}, tier)
+
+
+def _assert_lowered_runs_on_jit(module, specs, tier):
+    """Lower ``module``, then execute every function on ``tier`` and on
+    the interpreter: each must run with ``tier == "jit"`` and agree
+    exactly on results, memory and ``ExecutionCounters``."""
+    lowered = _lower(module)
+    assert "scf" not in _dialect_histogram(lowered)
+    for function in _executable_functions(lowered):
+        resolved = synthesize_spec(function, specs.get(function.sym_name))
+        reference = ExecutionEngine(lowered, tier="interp").execute(
+            function, resolved)
+        engine = ExecutionEngine(lowered, tier=tier)
+        run = engine.execute(function, resolved)
+        assert run.tier == "jit", engine.remarks
+        assert run.results == reference.results
+        assert run.memory == reference.memory
+        assert run.counters == reference.counters
 
 
 class TestCFMechanics:
@@ -341,3 +374,194 @@ class TestJITWhile:
         _lower(module)  # run_differential compiles a copy
         assert '"scf.while"' not in print_op(module)
         assert '"cf.cond_br"' in print_op(module)
+
+
+# ---------------------------------------------------------------------------
+# CFG functions on the JIT tier: block dispatch, traps, budget, faults
+# ---------------------------------------------------------------------------
+
+def _build_self_loop():
+    """``^entry: cf.br ^spin; ^spin: cf.br ^spin`` — never returns."""
+    f = func.FuncOp.build("spin", [], [])
+    spin = Block()
+    f.regions[0].add_block(spin)
+    f.body.append(cf.BranchOp.build(spin))
+    spin.append(cf.BranchOp.build(spin))
+    return f
+
+
+def _build_load_at():
+    """``load_at(mem, i) = mem[i]``; lowers to ``llvm.getelementptr`` +
+    ``llvm.load``."""
+    f = func.FuncOp.build("load_at", [MemRefType((4,), f32()), index()],
+                          [f32()])
+    mem, position = f.arguments
+    b = Builder(InsertionPoint.at_end(f.body))
+    load = b.insert(memref.LoadOp.build(mem, [position]))
+    b.insert(func.ReturnOp.build([load.result]))
+    return f
+
+
+def _lowered_internalized_gemm():
+    module, specs = build_gemm_module(size=4, work_group=2)
+    build_named_pipeline("sycl-mlir").run(module)
+    lowered = _lower(module)
+    function = lowered.lookup_symbol("gemm")
+    return lowered, function, synthesize_spec(function, specs["gemm"])
+
+
+class TestCFGOnJIT:
+    def test_self_loop_hits_the_step_budget(self):
+        from repro.interp.jit import _Emitter
+
+        function = _build_self_loop()
+        module = wrap_in_module(function)
+        verify(module)
+        _Emitter(function, "function").emit()  # compiles: no fallback
+        engine = ExecutionEngine(module, tier="jit", max_steps=1000)
+        with pytest.raises(TrapError, match="step budget"):
+            engine.call("spin", [])
+        assert engine.remarks == []
+
+    def test_out_of_bounds_pointer_load_traps_like_the_interpreter(self):
+        module = _lower(wrap_in_module(_build_load_at()))
+        assert any(op.name == "llvm.load" for op in module.walk())
+        messages = {}
+        for tier in ("interp", "jit"):
+            engine = ExecutionEngine(module, tier=tier)
+            storage = MemRefStorage((4,), f32())
+            storage.store_flat(3, 2.5)
+            assert engine.call("load_at", [storage, 3]) == [2.5]
+            for position in (4, -1):
+                with pytest.raises(TrapError) as excinfo:
+                    engine.call("load_at", [storage, position])
+                messages[tier, position] = str(excinfo.value)
+            assert engine.remarks == []
+        for position in (4, -1):
+            assert messages["jit", position] == messages["interp", position]
+
+    @pytest.mark.parametrize("plan,remark", [
+        ("jit.compile=corrupt", "degraded"),
+        ("jit.exec=transient", "injected jit execution fault"),
+    ])
+    def test_faults_degrade_lowered_kernels(self, monkeypatch, plan, remark):
+        lowered, function, resolved = _lowered_internalized_gemm()
+        baseline = ExecutionEngine(lowered, tier="interp").execute(
+            function, resolved)
+        monkeypatch.setenv("REPRO_FAULT_PLAN", plan)
+        engine = ExecutionEngine(lowered, tier="jit")
+        execution = engine.execute(function, resolved)
+        assert execution.tier == "interp"
+        assert any(remark in text for text in engine.remarks), \
+            engine.remarks
+        assert execution.memory == baseline.memory
+        assert execution.counters == baseline.counters
+
+    def test_llvm_ops_share_the_arith_emission(self, monkeypatch):
+        """One definition per op: a miscompile seeded in the arith table
+        reaches lowered code (``llvm.fadd`` compiles through it), and the
+        cross-tier comparison sees it."""
+        from repro.interp.jit import _Emitter
+
+        monkeypatch.setitem(_Emitter.BIN_FLOAT, "arith.addf", "-")
+        lowered, function, resolved = _lowered_internalized_gemm()
+        before = ExecutionEngine(lowered, tier="interp").execute(
+            function, resolved)
+        after = ExecutionEngine(lowered, tier="jit").execute(
+            function, resolved)
+        assert after.tier == "jit"
+        assert after.memory != before.memory
+
+    def test_disk_cached_cfg_executable_runs(self, tmp_path):
+        from repro.interp.jit import ExecutableCache, compile_executable
+        from repro.transforms.disk_cache import DiskCache
+
+        lowered, function, resolved = _lowered_internalized_gemm()
+        warm = ExecutableCache(disk=DiskCache(str(tmp_path)))
+        compile_executable(function, "nd-barrier", cache=warm)
+        assert warm.stats["disk_stores"] == 1
+        cold = ExecutableCache(disk=DiskCache(str(tmp_path)))
+        engine = ExecutionEngine(lowered, tier="jit", executable_cache=cold)
+        execution = engine.execute(function, resolved)
+        assert cold.stats["disk_hits"] == 1
+        assert execution.tier == "jit"
+        reference = ExecutionEngine(lowered, tier="interp").execute(
+            function, resolved)
+        assert execution.memory == reference.memory
+        assert execution.counters == reference.counters
+
+    def test_barriers_yield_inside_the_dispatch_loop(self):
+        from repro.interp.jit import _Emitter
+
+        _, function, _ = _lowered_internalized_gemm()
+        source = _Emitter(function, "nd-barrier").emit()
+        filecheck(source, '''
+            CHECK: def _item(_g, _l):
+            CHECK: _blk = 0
+            CHECK: while True:
+            CHECK: if _blk == 0:
+            CHECK: yield _BARRIER
+            CHECK: continue
+        ''')
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_generated_modules_lower_onto_the_jit(seed):
+    """Synthetic modules (loop nests, kernels, scalar code) lowered to
+    CFGs: every function compiles on the JIT and matches the
+    interpreter exactly."""
+    from benchmarks.generate import GeneratorConfig, generate_module
+
+    module = generate_module(GeneratorConfig(
+        num_ops=150, nesting_depth=1 + seed % 2, num_kernels=1 + seed % 2,
+        dead_chain_depth=4, seed=seed))
+    _assert_lowered_runs_on_jit(module, {}, "jit")
+    assert any(op.name == "cf.cond_br" for op in module.walk())
+
+
+def test_lowered_divf_by_zero_keeps_its_infinity():
+    """``llvm.fdiv`` shares divf's evaluator, IEEE zero-divide included:
+    lowering must not turn ``1.0 / 0.0`` from ``inf`` into NaN."""
+    f = func.FuncOp.build("ratio", [f32(), f32()], [f32()])
+    a, b = f.arguments
+    builder = Builder(InsertionPoint.at_end(f.body))
+    quotient = builder.insert(arith.DivFOp.build(a, b))
+    builder.insert(func.ReturnOp.build([quotient.result]))
+    structured = wrap_in_module(f)
+    lowered = _lower(structured.clone({}))
+    assert any(op.name == "llvm.fdiv" for op in lowered.walk())
+    for module in (structured, lowered):
+        for tier in ("interp", "jit"):
+            engine = ExecutionEngine(module, tier=tier)
+            assert engine.call("ratio", [-1.0, 0.0]) == [float("-inf")]
+            assert engine.remarks == []
+
+
+@pytest.mark.parametrize("build,args", [
+    (lambda a: arith.DivSIOp.build(a[0], a[1]), [7, 0]),
+    (lambda a: arith.RemUIOp.build(a[0], a[1]), [7, 0]),
+    (lambda a: arith.ShLIOp.build(a[0], a[1]), [7, 99]),
+    (lambda a: arith.ShRSIOp.build(a[0], a[1]), [7, -1]),
+    (lambda a: arith.FPToSIOp.build(a[0], index()), [float("nan"), 0]),
+], ids=["divsi", "remui", "shli", "shrsi", "fptosi"])
+@pytest.mark.parametrize("lowered", [False, True])
+def test_trap_messages_match_the_interpreter(build, args, lowered):
+    """The JIT names the trapping op (its ``llvm`` name once lowered)
+    and its result type exactly as the interpreter's evaluators do."""
+    operand = f32() if isinstance(args[0], float) else index()
+    f = func.FuncOp.build("trap", [operand, index()], [index()])
+    builder = Builder(InsertionPoint.at_end(f.body))
+    result = builder.insert(build(f.arguments))
+    builder.insert(func.ReturnOp.build([result.result]))
+    module = wrap_in_module(f)
+    if lowered:
+        _lower(module)
+    messages = []
+    for tier in ("interp", "jit"):
+        engine = ExecutionEngine(module, tier=tier)
+        with pytest.raises(TrapError) as excinfo:
+            engine.call("trap", args)
+        assert engine.remarks == []
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    assert ("'llvm." in messages[0]) is lowered
